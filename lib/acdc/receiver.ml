@@ -2,6 +2,7 @@ module Packet = Dcpkt.Packet
 module Flow_key = Dcpkt.Flow_key
 
 type flow = {
+  key : Flow_key.t; (* data direction *)
   mutable total_bytes : int;
   mutable marked_bytes : int;
   mutable vm_ect : bool; (* data sender's VM is ECN-capable *)
@@ -30,28 +31,31 @@ let create ?metrics ?tracer engine config =
     m_facks_sent = Obs.Metrics.scope_counter scope "facks_sent";
   }
 
-let fresh_flow () = { total_bytes = 0; marked_bytes = 0; vm_ect = false }
+let fresh_flow key = { key; total_bytes = 0; marked_bytes = 0; vm_ect = false }
 
-(* Data direction: packets we receive. *)
+(* "No flow" for the allocation-free lookups, compared physically. *)
+let no_flow = fresh_flow (Flow_key.make ~src_ip:0 ~dst_ip:0 ~src_port:0 ~dst_port:0)
+
+let track t (pkt : Packet.t) =
+  Vswitch.Flow_table.find_or_create t.table pkt.Packet.key ~make:(fun () ->
+      fresh_flow pkt.Packet.key)
+
+(* Data direction: packets we receive.  Only data keys the policy
+   enforces are ever tracked. *)
 let ingress t (pkt : Packet.t) ~inject:_ =
   if not (enforced t pkt.Packet.key) then Vswitch.Datapath.Pass
   else if pkt.Packet.syn && not pkt.Packet.has_ack then begin
-    ignore (Vswitch.Flow_table.find_or_create t.table pkt.Packet.key ~make:fresh_flow);
+    ignore (track t pkt);
     Vswitch.Datapath.Pass
   end
   else begin
-    let tracked =
-      match Vswitch.Flow_table.find t.table pkt.Packet.key with
-      | Some _ as f -> f
-      | None ->
-        (* Mid-stream attachment: start tracking on first data packet. *)
-        if pkt.Packet.payload > 0 then
-          Some (Vswitch.Flow_table.find_or_create t.table pkt.Packet.key ~make:fresh_flow)
-        else None
+    let flow = Vswitch.Flow_table.find_or t.table pkt.Packet.key ~none:no_flow in
+    let flow =
+      (* Mid-stream attachment: start tracking on first data packet. *)
+      if flow == no_flow && pkt.Packet.payload > 0 then track t pkt else flow
     in
-    match tracked with
-    | None -> Vswitch.Datapath.Pass
-    | Some flow ->
+    if flow == no_flow then Vswitch.Datapath.Pass
+    else begin
       if pkt.Packet.payload > 0 then begin
         flow.total_bytes <- flow.total_bytes + pkt.Packet.payload;
         if pkt.Packet.ecn = Packet.Ce then
@@ -67,60 +71,56 @@ let ingress t (pkt : Packet.t) ~inject:_ =
       end;
       if pkt.Packet.fin then Vswitch.Flow_table.mark_closed t.table pkt.Packet.key;
       Vswitch.Datapath.Pass
+    end
   end
 
 let owns_egress t (pkt : Packet.t) =
-  Vswitch.Flow_table.find t.table (Flow_key.reverse pkt.Packet.key) <> None
+  Vswitch.Flow_table.find_reverse_or t.table pkt.Packet.key ~none:no_flow != no_flow
 
-(* ACK direction: packets our VM sends back to the data sender. *)
+let trace_attach t flow (carrier : Packet.t) =
+  if Obs.Trace.enabled t.tracer then
+    Obs.Trace.emit t.tracer ~now:(Eventsim.Engine.now t.engine)
+      (Obs.Trace.Pack_attach
+         {
+           flow = flow.key;
+           pkt = carrier.Packet.id;
+           total = flow.total_bytes;
+           marked = flow.marked_bytes;
+         })
+
+(* ACK direction: packets our VM sends back to the data sender.  A
+   tracked flow is an enforced one (see [ingress]), so the lookup by the
+   reversed key is the whole policy check. *)
 let egress t (pkt : Packet.t) ~inject =
-  let data_key = Flow_key.reverse pkt.Packet.key in
-  if not (enforced t data_key) then Vswitch.Datapath.Pass
-  else
-  match Vswitch.Flow_table.find t.table data_key with
-  | None -> Vswitch.Datapath.Pass
-  | Some flow ->
-    if pkt.Packet.has_ack && not pkt.Packet.syn then begin
-      let pack =
-        Packet.Pack { total_bytes = flow.total_bytes; marked_bytes = flow.marked_bytes }
-      in
-      let fits =
-        (not t.config.Config.fack_only)
-        && Packet.wire_size pkt + 8 <= t.config.Config.mtu + 54
-        (* 54 = simulator link-layer framing; the MTU bounds IP payload *)
-      in
-      let trace_attach (carrier : Packet.t) =
-        if Obs.Trace.enabled t.tracer then
-          Obs.Trace.emit t.tracer ~now:(Eventsim.Engine.now t.engine)
-            (Obs.Trace.Pack_attach
-               {
-                 flow = data_key;
-                 pkt = carrier.Packet.id;
-                 total = flow.total_bytes;
-                 marked = flow.marked_bytes;
-               })
-      in
-      if fits then begin
-        Packet.set_option pkt pack;
-        Obs.Metrics.incr t.m_packs_sent;
-        trace_attach pkt
-      end
-      else begin
-        (* TSO would smear an oversized PACK across segments, corrupting
-           the counters — send a dedicated FACK instead (§3.2). *)
-        let fack = Packet.make ~key:pkt.Packet.key ~options:[ pack ] ~payload:0 () in
-        Obs.Metrics.incr t.m_facks_sent;
-        if Obs.Trace.enabled t.tracer then
-          Obs.Trace.emit t.tracer ~now:(Eventsim.Engine.now t.engine)
-            (Obs.Trace.created ~kind:"fack"
-               ~node:(Printf.sprintf "host%d" pkt.Packet.key.Flow_key.src_ip)
-               fack);
-        trace_attach fack;
-        inject fack
-      end;
-      if pkt.Packet.fin then Vswitch.Flow_table.mark_closed t.table data_key
+  let flow = Vswitch.Flow_table.find_reverse_or t.table pkt.Packet.key ~none:no_flow in
+  if flow != no_flow && pkt.Packet.has_ack && not pkt.Packet.syn then begin
+    let pack = Packet.Pack { total_bytes = flow.total_bytes; marked_bytes = flow.marked_bytes } in
+    let fits =
+      (not t.config.Config.fack_only)
+      && Packet.wire_size pkt + 8 <= t.config.Config.mtu + 54
+      (* 54 = simulator link-layer framing; the MTU bounds IP payload *)
+    in
+    if fits then begin
+      Packet.set_option pkt pack;
+      Obs.Metrics.incr t.m_packs_sent;
+      trace_attach t flow pkt
+    end
+    else begin
+      (* TSO would smear an oversized PACK across segments, corrupting
+         the counters — send a dedicated FACK instead (§3.2). *)
+      let fack = Packet.make ~key:pkt.Packet.key ~options:[ pack ] ~payload:0 () in
+      Obs.Metrics.incr t.m_facks_sent;
+      if Obs.Trace.enabled t.tracer then
+        Obs.Trace.emit t.tracer ~now:(Eventsim.Engine.now t.engine)
+          (Obs.Trace.created ~kind:"fack"
+             ~node:(Obs.Trace.host_node pkt.Packet.key.Flow_key.src_ip)
+             fack);
+      trace_attach t flow fack;
+      inject fack
     end;
-    Vswitch.Datapath.Pass
+    if pkt.Packet.fin then Vswitch.Flow_table.mark_closed t.table flow.key
+  end;
+  Vswitch.Datapath.Pass
 
 let tracked_flows t = Vswitch.Flow_table.length t.table
 let packs_sent t = Obs.Metrics.value t.m_packs_sent

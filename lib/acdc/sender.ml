@@ -7,6 +7,11 @@ let src = Logs.Src.create "acdc.sender" ~doc:"AC/DC sender-side vSwitch module"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
+(* DCTCP's alpha in a one-field all-float record, which OCaml stores
+   flat: the once-per-window update then boxes no float and stores no
+   fresh pointer into the long-lived flow. *)
+type estimate = { mutable alpha : float }
+
 type flow = {
   key : Flow_key.t;
   policy : Config.policy;
@@ -17,7 +22,7 @@ type flow = {
   (* DCTCP state (Fig. 5). *)
   mutable wnd : int; (* computed congestion window, bytes *)
   mutable ssthresh : int;
-  mutable alpha : float;
+  est : estimate;
   mutable last_total : int; (* cumulative PACK counters last seen *)
   mutable last_marked : int;
   mutable win_total : int; (* per-RTT-window accounting *)
@@ -27,14 +32,15 @@ type flow = {
   (* Enforcement plumbing (§3.3). *)
   mutable peer_wscale : int; (* receiver's window-scale shift *)
   mutable vm_ect : bool; (* the VM's stack set ECT itself *)
-  (* Custom vSwitch congestion control (Config.Custom). *)
-  mutable cc : Tcp.Cc.t option;
+  (* Custom vSwitch congestion control (Config.Custom), with the view it
+     runs against, built once per flow. *)
+  mutable cc : (Tcp.Cc.t * Tcp.Cc.view) option;
   (* vSwitch RTT estimation: one Karn-safe probe at a time. *)
   mutable probe_seq : int; (* -1 when no probe outstanding *)
   mutable probe_time : Time_ns.t;
-  mutable srtt : Time_ns.t option;
-  (* Timeout inference. *)
-  mutable timer : Engine.timer option;
+  mutable srtt : Time_ns.t; (* -1 until the first sample *)
+  (* Timeout inference: built at the first arm, then re-armed in place. *)
+  mutable timer : Engine.timer;
   mutable deadline : Time_ns.t;
 }
 
@@ -71,39 +77,8 @@ let create ?metrics ?tracer engine config =
     window_hook = (fun _ _ _ -> ());
   }
 
-let fresh_flow t key seq =
-  let policy = t.config.Config.policy key in
-  {
-    key;
-    policy;
-    snd_una = seq;
-    snd_nxt = seq;
-    dupacks = 0;
-    wnd = t.config.Config.init_window_segments * t.config.Config.mss;
-    ssthresh = 1 lsl 30;
-    alpha = 1.0;
-    last_total = 0;
-    last_marked = 0;
-    win_total = 0;
-    win_marked = 0;
-    window_end = seq;
-    cut_this_window = false;
-    peer_wscale = 0;
-    vm_ect = false;
-    cc =
-      (match policy.Config.algorithm with
-      | Config.Custom factory -> Some (factory ())
-      | Config.Dctcp | Config.Reno_like -> None);
-    probe_seq = -1;
-    probe_time = Time_ns.zero;
-    srtt = None;
-    timer = None;
-    deadline = Time_ns.zero;
-  }
-
-let enforced_window t flow =
-  let w = Stdlib.max t.config.Config.min_window_bytes flow.wnd in
-  match flow.policy.Config.max_rwnd with Some m -> Stdlib.min m w | None -> w
+(* Never armed: the "no handle yet" sentinel, compared physically. *)
+let unset_timer = Engine.timer ignore
 
 let cc_view t flow =
   {
@@ -114,8 +89,53 @@ let cc_view t flow =
     get_ssthresh = (fun () -> flow.ssthresh);
     set_ssthresh = (fun v -> flow.ssthresh <- v);
     in_flight = (fun () -> flow.snd_nxt - flow.snd_una);
-    srtt = (fun () -> flow.srtt);
+    srtt = (fun () -> if flow.srtt < 0 then None else Some flow.srtt);
   }
+
+let new_flow key policy seq ~wnd =
+  {
+    key;
+    policy;
+    snd_una = seq;
+    snd_nxt = seq;
+    dupacks = 0;
+    wnd;
+    ssthresh = 1 lsl 30;
+    est = { alpha = 1.0 };
+    last_total = 0;
+    last_marked = 0;
+    win_total = 0;
+    win_marked = 0;
+    window_end = seq;
+    cut_this_window = false;
+    peer_wscale = 0;
+    vm_ect = false;
+    cc = None;
+    probe_seq = -1;
+    probe_time = Time_ns.zero;
+    srtt = -1;
+    timer = unset_timer;
+    deadline = Time_ns.zero;
+  }
+
+(* "No flow" for the allocation-free lookups, compared physically. *)
+let no_flow =
+  new_flow (Flow_key.make ~src_ip:0 ~dst_ip:0 ~src_port:0 ~dst_port:0) Config.default_policy 0
+    ~wnd:0
+
+let fresh_flow t key seq =
+  let policy = t.config.Config.policy key in
+  let flow =
+    new_flow key policy seq ~wnd:(t.config.Config.init_window_segments * t.config.Config.mss)
+  in
+  (match policy.Config.algorithm with
+  | Config.Custom factory -> flow.cc <- Some (factory (), cc_view t flow)
+  | Config.Dctcp | Config.Reno_like -> ());
+  flow
+
+let enforced_window t flow =
+  let w = Stdlib.max t.config.Config.min_window_bytes flow.wnd in
+  match flow.policy.Config.max_rwnd with Some m -> Stdlib.min m w | None -> w
 
 (* Scale a byte window into the 16-bit field, rounding up: flooring would
    silently shave up to [2^wscale - 1] bytes off every enforced window and
@@ -132,23 +152,16 @@ let window_field flow window =
 
 let rec arm_timer t flow =
   flow.deadline <- Time_ns.add (Engine.now t.engine) t.config.Config.inactivity_timeout;
-  if flow.timer = None then
-    flow.timer <-
-      Some
-        (Engine.timer_after t.engine ~delay:t.config.Config.inactivity_timeout (fun () ->
-             fire_timer t flow))
+  if not (Engine.timer_pending flow.timer) then begin
+    if flow.timer == unset_timer then flow.timer <- Engine.timer (fun () -> fire_timer t flow);
+    Engine.arm t.engine flow.timer ~delay:t.config.Config.inactivity_timeout
+  end
 
 and fire_timer t flow =
-  flow.timer <- None;
   let now = Engine.now t.engine in
-  if now < flow.deadline then begin
+  if now < flow.deadline then
     (* Activity since we were armed: sleep until the fresh deadline. *)
-    flow.timer <-
-      Some
-        (Engine.timer_after t.engine
-           ~delay:(Time_ns.diff flow.deadline now)
-           (fun () -> fire_timer t flow))
-  end
+    Engine.arm t.engine flow.timer ~delay:(Time_ns.diff flow.deadline now)
   else if flow.snd_una < flow.snd_nxt then begin
     (* Silence with data outstanding: the VM's flow timed out (§3.1). *)
     Obs.Metrics.incr t.m_inferred_timeouts;
@@ -163,7 +176,7 @@ and fire_timer t flow =
     Log.debug (fun m ->
         m "flow %a: inferred timeout (snd_una=%d snd_nxt=%d)" Flow_key.pp flow.key
           flow.snd_una flow.snd_nxt);
-    flow.alpha <- t.config.Config.max_alpha;
+    flow.est.alpha <- t.config.Config.max_alpha;
     flow.ssthresh <- Stdlib.max (2 * t.config.Config.mss) (flow.wnd / 2);
     flow.wnd <- t.config.Config.mss;
     flow.window_end <- flow.snd_nxt;
@@ -171,7 +184,7 @@ and fire_timer t flow =
     flow.dupacks <- 0;
     flow.probe_seq <- -1;
     (match flow.cc with
-    | Some cc -> cc.Tcp.Cc.on_rto (cc_view t flow)
+    | Some (cc, view) -> cc.Tcp.Cc.on_rto view
     | None -> ());
     assist_retransmit t flow;
     arm_timer t flow
@@ -193,18 +206,13 @@ and assist_retransmit t flow =
       if Obs.Trace.enabled t.tracer then
         Obs.Trace.emit t.tracer ~now:(Engine.now t.engine)
           (Obs.Trace.created ~kind:"assist_ack"
-             ~node:(Printf.sprintf "host%d" flow.key.Flow_key.src_ip)
+             ~node:(Obs.Trace.host_node flow.key.Flow_key.src_ip)
              pkt);
       inject pkt
     done
   | Some _ | None -> ()
 
-let cancel_timer flow =
-  match flow.timer with
-  | Some timer ->
-    Engine.cancel timer;
-    flow.timer <- None
-  | None -> ()
+let cancel_timer flow = Engine.cancel flow.timer
 
 (* ------------------------------------------------------------------ *)
 (* Egress: data packets from the VM                                    *)
@@ -219,21 +227,16 @@ let force_ect flow (pkt : Packet.t) =
    packets — the ACK stream of connections where this host is the data
    *receiver* — never create sender-side state. *)
 let egress_flow t (pkt : Packet.t) =
-  match Vswitch.Flow_table.find t.table pkt.Packet.key with
-  | Some flow -> Some flow
-  | None ->
-    if (pkt.Packet.syn && not pkt.Packet.has_ack) || pkt.Packet.payload > 0 then begin
-      Log.debug (fun m -> m "flow %a: tracking started" Flow_key.pp pkt.Packet.key);
-      Some
-        (Vswitch.Flow_table.find_or_create t.table pkt.Packet.key ~make:(fun () ->
-             fresh_flow t pkt.Packet.key pkt.Packet.seq))
-    end
-    else None
+  let flow = Vswitch.Flow_table.find_or t.table pkt.Packet.key ~none:no_flow in
+  if flow != no_flow then flow
+  else if (pkt.Packet.syn && not pkt.Packet.has_ack) || pkt.Packet.payload > 0 then begin
+    Log.debug (fun m -> m "flow %a: tracking started" Flow_key.pp pkt.Packet.key);
+    Vswitch.Flow_table.find_or_create t.table pkt.Packet.key ~make:(fun () ->
+        fresh_flow t pkt.Packet.key pkt.Packet.seq)
+  end
+  else no_flow
 
-let egress t (pkt : Packet.t) ~inject:_ =
-  match egress_flow t pkt with
-  | None -> Vswitch.Datapath.Pass
-  | Some flow ->
+let egress_tracked t flow (pkt : Packet.t) =
   if pkt.Packet.fin then Vswitch.Flow_table.mark_closed t.table pkt.Packet.key;
   if pkt.Packet.payload > 0 then begin
     (* Exempt flows (§3.4) keep their own ECN behaviour end to end. *)
@@ -284,6 +287,10 @@ let egress t (pkt : Packet.t) ~inject:_ =
     Vswitch.Datapath.Pass
   end
 
+let egress t (pkt : Packet.t) ~inject:_ =
+  let flow = egress_flow t pkt in
+  if flow == no_flow then Vswitch.Datapath.Pass else egress_tracked t flow pkt
+
 (* ------------------------------------------------------------------ *)
 (* Ingress: ACK stream from the receiver                               *)
 
@@ -299,26 +306,37 @@ let congestion_avoid t flow ~acked =
 let cut_window t flow =
   if not flow.cut_this_window then begin
     flow.cut_this_window <- true;
-    Log.debug (fun m ->
-        m "flow %a: cut wnd=%d alpha=%.3f beta=%.2f" Flow_key.pp flow.key flow.wnd flow.alpha
-          flow.policy.Config.beta);
+    (* Checked first: the message closure would otherwise be built on
+       every cut. *)
+    (match Logs.Src.level src with
+    | Some Logs.Debug ->
+      Log.debug (fun m ->
+          m "flow %a: cut wnd=%d alpha=%.3f beta=%.2f" Flow_key.pp flow.key flow.wnd
+            flow.est.alpha flow.policy.Config.beta)
+    | Some _ | None -> ());
     let beta = flow.policy.Config.beta in
+    let alpha = flow.est.alpha in
     (* Eq. 1: rwnd <- rwnd * (1 - (alpha - alpha * beta / 2)). *)
-    let factor = 1.0 -. (flow.alpha -. (flow.alpha *. beta /. 2.0)) in
+    let factor = 1.0 -. (alpha -. (alpha *. beta /. 2.0)) in
     let next = int_of_float (float_of_int flow.wnd *. factor) in
     flow.wnd <- Stdlib.max t.config.Config.min_window_bytes next;
     flow.ssthresh <- Stdlib.max (2 * t.config.Config.mss) flow.wnd
   end
 
+(* Inlined, so the update below keeps the fraction unboxed; only the
+   trace event boxes it. *)
+let[@inline] marked_fraction flow =
+  float_of_int flow.win_marked /. float_of_int flow.win_total
+
 let update_alpha t flow =
   if flow.win_total > 0 then begin
-    let fraction = float_of_int flow.win_marked /. float_of_int flow.win_total in
     let g = t.config.Config.g in
-    flow.alpha <- ((1.0 -. g) *. flow.alpha) +. (g *. fraction);
+    flow.est.alpha <- ((1.0 -. g) *. flow.est.alpha) +. (g *. marked_fraction flow);
     Obs.Metrics.incr t.m_alpha_updates;
     if Obs.Trace.enabled t.tracer then
       Obs.Trace.emit t.tracer ~now:(Engine.now t.engine)
-        (Obs.Trace.Alpha_update { flow = flow.key; alpha = flow.alpha; fraction })
+        (Obs.Trace.Alpha_update
+           { flow = flow.key; alpha = flow.est.alpha; fraction = marked_fraction flow })
   end;
   flow.win_total <- 0;
   flow.win_marked <- 0;
@@ -336,14 +354,14 @@ let absorb_feedback flow ~total ~marked =
   flow.win_marked <- flow.win_marked + d_marked;
   d_marked > 0
 
+(* [rtt] is this ACK's RTT sample in ns, or -1. *)
 let process_feedback t flow ~acked ~congested ~loss ~rtt =
-  ignore rtt;
   match flow.policy.Config.algorithm with
   | Config.Dctcp ->
     (* Fig. 5, in order: alpha once per RTT, then loss, congestion, growth. *)
     if flow.snd_una >= flow.window_end then update_alpha t flow;
     if loss then begin
-      flow.alpha <- t.config.Config.max_alpha;
+      flow.est.alpha <- t.config.Config.max_alpha;
       cut_window t flow
     end
     else if congested then cut_window t flow
@@ -364,8 +382,7 @@ let process_feedback t flow ~acked ~congested ~loss ~rtt =
     end
     else if acked > 0 then congestion_avoid t flow ~acked
   | Config.Custom _ ->
-    let cc = match flow.cc with Some cc -> cc | None -> assert false in
-    let view = cc_view t flow in
+    let cc, view = match flow.cc with Some c -> c | None -> assert false in
     if flow.snd_una >= flow.window_end then begin
       flow.window_end <- flow.snd_nxt;
       flow.cut_this_window <- false
@@ -381,7 +398,10 @@ let process_feedback t flow ~acked ~congested ~loss ~rtt =
       cc.Tcp.Cc.on_congestion view Tcp.Cc.Ecn;
       if acked > 0 then () (* the cut already consumed this ACK *)
     end
-    else if acked > 0 then cc.Tcp.Cc.on_ack view ~acked ~rtt ~ce_marked:congested
+    else if acked > 0 then
+      cc.Tcp.Cc.on_ack view ~acked
+        ~rtt:(if rtt < 0 then None else Some rtt)
+        ~ce_marked:congested
 
 let rewrite_rwnd t flow (pkt : Packet.t) =
   let window = enforced_window t flow in
@@ -408,22 +428,17 @@ let rewrite_rwnd t flow (pkt : Packet.t) =
   end
 
 let handle_ack t flow (pkt : Packet.t) =
-  let congested =
-    match Packet.pack_info pkt with
-    | Some (total, marked) -> absorb_feedback flow ~total ~marked
-    | None -> false
-  in
+  let total = Packet.pack_total pkt in
+  let congested = total >= 0 && absorb_feedback flow ~total ~marked:(Packet.pack_marked pkt) in
   let rtt_sample =
     if flow.probe_seq >= 0 && pkt.Packet.ack >= flow.probe_seq then begin
       let sample = Time_ns.diff (Engine.now t.engine) flow.probe_time in
       flow.probe_seq <- -1;
       (* RFC 6298 smoothing, enough for the algorithms that look at it. *)
-      (match flow.srtt with
-      | None -> flow.srtt <- Some sample
-      | Some prev -> flow.srtt <- Some ((7 * prev / 8) + (sample / 8)));
-      Some sample
+      flow.srtt <- (if flow.srtt < 0 then sample else (7 * flow.srtt / 8) + (sample / 8));
+      sample
     end
-    else None
+    else -1
   in
   let acked =
     if pkt.Packet.ack > flow.snd_una then begin
@@ -453,43 +468,40 @@ let handle_ack t flow (pkt : Packet.t) =
   process_feedback t flow ~acked ~congested ~loss ~rtt:rtt_sample
 
 let owns_ingress t (pkt : Packet.t) =
-  Vswitch.Flow_table.find t.table (Flow_key.reverse pkt.Packet.key) <> None
+  Vswitch.Flow_table.find_reverse_or t.table pkt.Packet.key ~none:no_flow != no_flow
 
 let ingress t (pkt : Packet.t) ~inject:_ =
-  let data_key = Flow_key.reverse pkt.Packet.key in
-  match Vswitch.Flow_table.find t.table data_key with
-  | None -> Vswitch.Datapath.Pass
-  | Some flow ->
-    if pkt.Packet.syn then begin
-      (* SYN-ACK: learn the receiver's window scale so enforced windows are
-         written in the right units (§3.3), and absorb its cumulative ACK
-         (it covers the SYN). *)
-      (match Packet.wscale pkt with Some s -> flow.peer_wscale <- s | None -> ());
-      if pkt.Packet.has_ack && pkt.Packet.ack > flow.snd_una then
-        flow.snd_una <- pkt.Packet.ack;
-      Vswitch.Datapath.Pass
-    end
-    else if Packet.pack_info pkt <> None && not pkt.Packet.has_ack then begin
-      (* Dedicated FACK: log the feedback and discard (§3.2). *)
-      (match Packet.pack_info pkt with
-      | Some (total, marked) ->
-        let congested = absorb_feedback flow ~total ~marked in
-        process_feedback t flow ~acked:0 ~congested ~loss:false ~rtt:None
-      | None -> ());
-      Vswitch.Datapath.Drop
-    end
-    else if pkt.Packet.has_ack then begin
-      handle_ack t flow pkt;
-      rewrite_rwnd t flow pkt;
-      Packet.remove_pack pkt;
-      (* Hide ECN feedback from the tenant stack (§3.2); in log-only mode
-         AC/DC is fully passive, and exempt flows keep their feedback. *)
-      if (not t.config.Config.log_only) && flow.policy.Config.enforce then
-        pkt.Packet.ece <- false;
-      if pkt.Packet.fin then Vswitch.Flow_table.mark_closed t.table data_key;
-      Vswitch.Datapath.Pass
-    end
-    else Vswitch.Datapath.Pass
+  let flow = Vswitch.Flow_table.find_reverse_or t.table pkt.Packet.key ~none:no_flow in
+  if flow == no_flow then Vswitch.Datapath.Pass
+  else if pkt.Packet.syn then begin
+    (* SYN-ACK: learn the receiver's window scale so enforced windows are
+       written in the right units (§3.3), and absorb its cumulative ACK
+       (it covers the SYN). *)
+    (match Packet.wscale pkt with Some s -> flow.peer_wscale <- s | None -> ());
+    if pkt.Packet.has_ack && pkt.Packet.ack > flow.snd_una then
+      flow.snd_una <- pkt.Packet.ack;
+    Vswitch.Datapath.Pass
+  end
+  else if Packet.pack_total pkt >= 0 && not pkt.Packet.has_ack then begin
+    (* Dedicated FACK: log the feedback and discard (§3.2). *)
+    let congested =
+      absorb_feedback flow ~total:(Packet.pack_total pkt) ~marked:(Packet.pack_marked pkt)
+    in
+    process_feedback t flow ~acked:0 ~congested ~loss:false ~rtt:(-1);
+    Vswitch.Datapath.Drop
+  end
+  else if pkt.Packet.has_ack then begin
+    handle_ack t flow pkt;
+    rewrite_rwnd t flow pkt;
+    Packet.remove_pack pkt;
+    (* Hide ECN feedback from the tenant stack (§3.2); in log-only mode
+       AC/DC is fully passive, and exempt flows keep their feedback. *)
+    if (not t.config.Config.log_only) && flow.policy.Config.enforce then
+      pkt.Packet.ece <- false;
+    if pkt.Packet.fin then Vswitch.Flow_table.mark_closed t.table flow.key;
+    Vswitch.Datapath.Pass
+  end
+  else Vswitch.Datapath.Pass
 
 (* ------------------------------------------------------------------ *)
 (* Window updates injected toward the VM                               *)
@@ -506,7 +518,7 @@ let window_update t key ~to_vm =
     if Obs.Trace.enabled t.tracer then
       Obs.Trace.emit t.tracer ~now:(Engine.now t.engine)
         (Obs.Trace.created ~kind:"window_update"
-           ~node:(Printf.sprintf "host%d" key.Flow_key.src_ip)
+           ~node:(Obs.Trace.host_node key.Flow_key.src_ip)
            pkt);
     to_vm pkt;
     true
@@ -518,7 +530,7 @@ let flow_window t key =
   Option.map (fun flow -> enforced_window t flow) (Vswitch.Flow_table.find t.table key)
 
 let flow_alpha t key =
-  Option.map (fun flow -> flow.alpha) (Vswitch.Flow_table.find t.table key)
+  Option.map (fun flow -> flow.est.alpha) (Vswitch.Flow_table.find t.table key)
 
 let flow_inflight t key =
   Option.map (fun flow -> flow.snd_nxt - flow.snd_una) (Vswitch.Flow_table.find t.table key)
@@ -552,7 +564,7 @@ let register_flow_probes t ~ts ~prefix ~interval key =
        (sample (fun flow -> float_of_int (enforced_window t flow))));
   ignore
     (Obs.Timeseries.probe ts ~name:(prefix ^ ".alpha") ~interval
-       (sample (fun flow -> flow.alpha)));
+       (sample (fun flow -> flow.est.alpha)));
   ignore
     (Obs.Timeseries.probe ts ~name:(prefix ^ ".inflight") ~unit_label:"bytes" ~interval
        (sample (fun flow -> float_of_int (flow.snd_nxt - flow.snd_una))))

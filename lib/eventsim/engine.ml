@@ -9,8 +9,10 @@
    consistent.
 
    Three event kinds share the record: closures ([schedule]), cancellable
-   timers ([timer_after]: liveness rides in the separate handle so a
-   recycled record can't resurrect a cancelled timer), and static-site
+   timers ([arm]: liveness and a generation number ride in the separate,
+   reusable handle, and each queued instance records the generation it was
+   armed at, so neither a recycled record nor a superseded instance can
+   fire a timer that was cancelled or re-armed since), and static-site
    handlers ([schedule_static]: a pre-registered code pointer plus two
    universally-typed argument slots — the zero-allocation path for txq
    tx-complete, link delivery and friends). *)
@@ -36,11 +38,11 @@ let ambient_backend =
 let default_backend () = !ambient_backend
 let set_default_backend b = ambient_backend := b
 
-type timer = { mutable live : bool; action : unit -> unit }
+type timer = { mutable live : bool; mutable gen : int; action : unit -> unit }
 
 let nop () = ()
 let nop2 (_ : Obj.t) (_ : Obj.t) = ()
-let dead_timer = { live = false; action = nop }
+let dead_timer = { live = false; gen = 0; action = nop }
 
 (* kind: 0 = closure, 1 = timer, 2 = static handler. *)
 type event = {
@@ -48,6 +50,7 @@ type event = {
   mutable kind : int;
   mutable fn : unit -> unit;
   mutable tmr : timer;
+  mutable tgen : int; (* [tmr.gen] when this instance was armed *)
   mutable h : Obj.t -> Obj.t -> unit;
   mutable a : Obj.t;
   mutable b : Obj.t;
@@ -60,6 +63,7 @@ let rec nil_event =
     kind = 0;
     fn = nop;
     tmr = dead_timer;
+    tgen = 0;
     h = nop2;
     a = Obj.repr 0;
     b = Obj.repr 0;
@@ -74,6 +78,7 @@ type t = {
   mutable fired : int;
   mutable free : event;
   mutable free_count : int;
+  mutable records : int; (* pooled records ever allocated *)
 }
 
 (* Events fired across every engine in the process: the denominator of the
@@ -87,38 +92,48 @@ let create ?backend () =
     | Heap -> Qh (Event_heap.create ())
     | Wheel -> Qw (Timing_wheel.create ())
   in
-  { clock = Time_ns.zero; queue; fired = 0; free = nil_event; free_count = 0 }
+  { clock = Time_ns.zero; queue; fired = 0; free = nil_event; free_count = 0; records = 0 }
 
 let backend t = match t.queue with Qh _ -> Heap | Qw _ -> Wheel
 
 let now t = t.clock
 
-let alloc t =
-  let ev = t.free in
-  if ev == nil_event then
-    {
-      at = 0;
-      kind = 0;
-      fn = nop;
-      tmr = dead_timer;
-      h = nop2;
-      a = Obj.repr 0;
-      b = Obj.repr 0;
-      free_next = nil_event;
-    }
-  else begin
-    t.free <- ev.free_next;
-    t.free_count <- t.free_count - 1;
-    ev.free_next <- nil_event;
-    ev
-  end
+(* The pool grows by doubling, not one record at a time.  A fresh record
+   is young, and until a minor GC promotes it every push stores it into
+   the long-lived queue — a remembered-set entry per use, and a busy pool
+   reuses its newest records first.  A batch is promoted together at the
+   next minor GC and costs nothing after that. *)
+let refill t =
+  let n = Stdlib.max 64 t.records in
+  t.records <- t.records + n;
+  for _ = 1 to n do
+    t.free <-
+      {
+        at = 0;
+        kind = 0;
+        fn = nop;
+        tmr = dead_timer;
+        tgen = 0;
+        h = nop2;
+        a = Obj.repr 0;
+        b = Obj.repr 0;
+        free_next = t.free;
+      }
+  done;
+  t.free_count <- t.free_count + n
 
+let alloc t =
+  if t.free == nil_event then refill t;
+  let ev = t.free in
+  t.free <- ev.free_next;
+  t.free_count <- t.free_count - 1;
+  ev.free_next <- nil_event;
+  ev
+
+(* Return a record to the pool.  [fire] has already cleared the payload
+   fields its kind used (and only those: each cleared pointer field is a
+   write barrier, paid once per event). *)
 let recycle t ev =
-  ev.fn <- nop;
-  ev.tmr <- dead_timer;
-  ev.h <- nop2;
-  ev.a <- Obj.repr 0;
-  ev.b <- Obj.repr 0;
   ev.free_next <- t.free;
   t.free <- ev;
   t.free_count <- t.free_count + 1
@@ -160,12 +175,20 @@ let schedule_static (type a b) t ~at (h : (a, b) handler) (x : a) (y : b) =
 let schedule_static_after t ~delay h x y =
   schedule_static t ~at:(Time_ns.add t.clock delay) h x y
 
-let timer_after t ~delay action =
-  let timer = { live = true; action } in
+let timer action = { live = false; gen = 0; action }
+
+let arm t timer ~delay =
+  timer.gen <- timer.gen + 1;
+  timer.live <- true;
   let ev = alloc t in
   ev.kind <- 1;
   ev.tmr <- timer;
-  push t ~at:(Time_ns.add t.clock delay) ev;
+  ev.tgen <- timer.gen;
+  push t ~at:(Time_ns.add t.clock delay) ev
+
+let timer_after t ~delay action =
+  let timer = timer action in
+  arm t timer ~delay;
   timer
 
 let cancel timer = timer.live <- false
@@ -178,17 +201,23 @@ let fire t ev =
   match ev.kind with
   | 0 ->
     let f = ev.fn in
+    ev.fn <- nop;
     recycle t ev;
     f ()
   | 1 ->
-    let tmr = ev.tmr in
+    let tmr = ev.tmr and gen = ev.tgen in
+    ev.tmr <- dead_timer;
     recycle t ev;
-    if tmr.live then begin
+    if tmr.live && gen = tmr.gen then begin
       tmr.live <- false;
       tmr.action ()
     end
   | _ ->
+    (* [h] is a static handler, live for the whole program: no need to
+       clear it. *)
     let h = ev.h and a = ev.a and b = ev.b in
+    ev.a <- Obj.repr 0;
+    ev.b <- Obj.repr 0;
     recycle t ev;
     h a b
 

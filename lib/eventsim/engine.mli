@@ -81,14 +81,24 @@ val schedule_static : t -> at:Time_ns.t -> ('a, 'b) handler -> 'a -> 'b -> unit
 
 val schedule_static_after : t -> delay:Time_ns.t -> ('a, 'b) handler -> 'a -> 'b -> unit
 
+val timer : (unit -> unit) -> timer
+(** A fresh, unarmed handle that runs the action each time it fires.
+    Build one per long-lived owner (a connection, a flow) and re-arm it:
+    the handle is the only allocation, so re-arming costs nothing. *)
+
+val arm : t -> timer -> delay:Time_ns.t -> unit
+(** Schedule the timer [delay] from now.  Arming a pending timer
+    supersedes the pending instance, which then never fires (exactly as
+    if it had been cancelled first).  The queue cell is pooled. *)
+
 val timer_after : t -> delay:Time_ns.t -> (unit -> unit) -> timer
-(** Like [schedule_after] but returns a handle that can be cancelled.
-    The queue cell is pooled; only the handle itself is allocated. *)
+(** [timer] then [arm]: a one-shot handle that can be cancelled. *)
 
 val cancel : timer -> unit
 (** Cancelling a fired or already-cancelled timer is a no-op.  The dead
-    event stays queued (and counted by [pending_events]) until its due
-    time, when it is discarded without firing. *)
+    event (like a superseded one) stays queued, and counted by
+    [pending_events], until its due time, when it is discarded without
+    firing. *)
 
 val timer_pending : timer -> bool
 

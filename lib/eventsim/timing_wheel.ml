@@ -29,7 +29,11 @@
 
    Pooling.  Cells are flat mutable records on per-wheel free lists; the
    intrusive [c_next] link doubles as slot chaining and free-list
-   threading, so steady-state push/pop allocates nothing. *)
+   threading, so steady-state push/pop allocates nothing.  When the free
+   list runs dry, cells come from a reserve that grows by doubling: a
+   fresh cell is young, and each insert of a young cell into the
+   long-lived wheel is a remembered-set entry, so cells are made in
+   batches that one minor GC promotes together rather than one per push. *)
 
 let bits = 5
 let slots = 1 lsl bits
@@ -68,8 +72,10 @@ type 'a t = {
   mutable ov_head : 'a cell;
   mutable ov_tail : 'a cell;
   mutable ov_len : int;
-  mutable free : 'a cell;
+  mutable free : 'a cell; (* released cells *)
   mutable free_len : int;
+  mutable reserve : 'a cell; (* never-used cells *)
+  mutable cells : int; (* cells ever allocated *)
 }
 
 let make_nil () : 'a cell =
@@ -92,6 +98,8 @@ let create ?(capacity = 0) () =
       ov_len = 0;
       free = nil;
       free_len = 0;
+      reserve = nil;
+      cells = 0;
     }
   in
   for _ = 1 to capacity do
@@ -112,25 +120,42 @@ let release t c =
   t.free <- c;
   t.free_len <- t.free_len + 1
 
+let refill t =
+  let n = Stdlib.max 64 t.cells in
+  t.cells <- t.cells + n;
+  for _ = 1 to n do
+    t.reserve <- { c_time = 0; c_seq = 0; c_value = Obj.magic 0; c_next = t.reserve }
+  done
+
 let alloc t ~time ~seq value =
-  if t.free == t.nil then { c_time = time; c_seq = seq; c_value = value; c_next = t.nil }
-  else begin
-    let c = t.free in
-    t.free <- c.c_next;
-    t.free_len <- t.free_len - 1;
-    c.c_time <- time;
-    c.c_seq <- seq;
-    c.c_value <- value;
-    c.c_next <- t.nil;
-    c
-  end
+  let c =
+    if t.free != t.nil then begin
+      let c = t.free in
+      t.free <- c.c_next;
+      t.free_len <- t.free_len - 1;
+      c
+    end
+    else begin
+      if t.reserve == t.nil then refill t;
+      let c = t.reserve in
+      t.reserve <- c.c_next;
+      c
+    end
+  in
+  c.c_time <- time;
+  c.c_seq <- seq;
+  c.c_value <- value;
+  c.c_next <- t.nil;
+  c
 
 (* Level of a timestamp relative to the current position: lowest [l] with
-   [time lxor cur < 32^(l+1)].  Caller has excluded the overflow case. *)
-let level_of t time =
-  let x = time lxor t.cur in
-  let rec go l = if x < 1 lsl (bits * (l + 1)) then l else go (l + 1) in
-  go 0
+   [time lxor cur < 32^(l+1)].  Caller has excluded the overflow case.
+   The loops here and in [lowest_level] are top-level functions taking
+   every operand as an argument: a local [let rec] over a free variable is
+   a closure, and ocamlopt without flambda allocates it on every call. *)
+let rec level_from x l = if x < 1 lsl (bits * (l + 1)) then l else level_from x (l + 1)
+
+let level_of t time = level_from (time lxor t.cur) 0
 
 let append_overflow t c =
   if t.ov_head == t.nil then t.ov_head <- c else t.ov_tail.c_next <- c;
@@ -189,9 +214,10 @@ let cascade t l =
   done
 
 (* Lowest nonempty level, or [levels] when all wheels are empty. *)
-let lowest_level t =
-  let rec go l = if l >= levels then l else if t.bitmaps.(l) <> 0 then l else go (l + 1) in
-  go 0
+let rec lowest_from bitmaps l =
+  if l >= levels then l else if bitmaps.(l) <> 0 then l else lowest_from bitmaps (l + 1)
+
+let lowest_level t = lowest_from t.bitmaps 0
 
 let overflow_min t =
   let m = ref max_int in

@@ -153,9 +153,10 @@ let drop t port_opt (pkt : Packet.t) ~port_idx ~reason =
 
 let input_unprofiled t pkt =
   Metrics.incr t.m_input;
-  match Hashtbl.find_opt t.routes pkt.Packet.key.dst_ip with
-  | None -> drop t None pkt ~port_idx:(-1) ~reason:Trace.No_route
-  | Some group ->
+  (* [find] with a handler, not [find_opt]: no [Some] per packet. *)
+  match Hashtbl.find t.routes pkt.Packet.key.dst_ip with
+  | exception Not_found -> drop t None pkt ~port_idx:(-1) ~reason:Trace.No_route
+  | group ->
     (* ECMP: the same 5-tuple always hashes to the same member port, so a
        flow's packets stay in order. *)
     let idx =
@@ -224,7 +225,7 @@ let input_unprofiled t pkt =
         Metrics.set_max t.g_buffer_max t.buffer_used;
         Metrics.incr t.m_forwarded_packets;
         Metrics.add t.m_forwarded_bytes size;
-        Txq.enqueue ~size port.txq pkt;
+        Txq.enqueue_sized port.txq pkt ~size;
         let q = Txq.queued_bytes port.txq in
         if q > port.max_queue then port.max_queue <- q
       end

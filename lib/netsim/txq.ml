@@ -4,21 +4,30 @@ module Packet = Dcpkt.Packet
 
 (* Serialization port: rate-limited FIFO + propagation delay.
 
-   Hot-path shape: the waiting queue is a flat ring (parallel arrays, no
-   per-entry tuple), the packet being serialized sits in mutable [cur_*]
-   fields (a port serializes one frame at a time), and both the
-   tx-complete and the delivery events are static-site handlers riding
-   pooled engine cells — steady-state forwarding schedules nothing on the
-   OCaml heap.
+   Hot-path shape: one flat ring (parallel arrays, no per-entry tuple)
+   holds each frame from enqueue until delivery, indexed by a per-port
+   sequence number ([seq land (capacity - 1)]).  The ring's live span is
+   three consecutive runs:
+
+     [head, tx)   serialized, propagating toward [deliver]
+     tx           on the serializer (while [busy])
+     (tx, tail)   waiting
+
+   so a frame is stored once, at enqueue, and moves between runs by index
+   arithmetic alone.  Both the tx-complete and the delivery events are
+   static-site handlers riding pooled engine cells — steady-state
+   forwarding schedules nothing on the OCaml heap, and stores no fresh
+   packet into a long-lived structure beyond its one ring slot.
 
    Delivery coalescing: on the jitter-free path, delivery due times from
    one port are nondecreasing (finish times are spaced by tx_time and
-   prop_delay is constant), so deliveries go through a second ring drained
-   by a single armed engine event.  A run of same-due packets — e.g. a
+   prop_delay is constant), so the propagating run is drained in order by
+   a single armed engine event.  A run of same-due packets — e.g. a
    downstream burst after an idle gap, or tx_time rounding to 0 at
    extreme rates — is handed over in one dispatch instead of one event
-   each.  Jitter can reorder due times, so that path schedules deliveries
-   individually. *)
+   each.  Jitter can reorder due times, so that path schedules one event
+   per frame carrying the frame's sequence number; a delivered slot is
+   emptied and [head] advances over the emptied prefix. *)
 
 type t = {
   engine : Engine.t;
@@ -26,24 +35,17 @@ type t = {
   prop_delay : Time_ns.t;
   jitter : (Eventsim.Rng.t * Time_ns.t) option;
   deliver : Packet.t -> unit;
-  (* Waiting ring.  Each entry carries its enqueue-time wire size (packets
+  (* The ring.  Each entry carries its enqueue-time wire size (packets
      are mutable and an option rewrite while queued must not unbalance the
-     byte books) and its enqueue time, the basis of the sojourn
-     instruments below. *)
-  mutable q_pkt : Packet.t array;
-  mutable q_size : int array;
-  mutable q_enq : int array;
-  mutable q_head : int;
-  mutable q_len : int;
-  (* The frame on the serializer right now (valid while [busy]). *)
-  mutable cur_pkt : Packet.t;
-  mutable cur_size : int;
-  mutable cur_enq : Time_ns.t;
-  (* Delivery coalescing ring (jitter-free path only). *)
-  mutable d_pkt : Packet.t array;
-  mutable d_due : int array;
-  mutable d_head : int;
-  mutable d_len : int;
+     byte books) and a time: the enqueue time until serialization
+     completes (the basis of the sojourn instruments below), the delivery
+     due time after. *)
+  mutable r_pkt : Packet.t array;
+  mutable r_size : int array;
+  mutable r_time : int array;
+  mutable head : int;
+  mutable tx : int;
+  mutable tail : int;
   mutable d_armed : bool;
   tracer : Obs.Trace.t;
   pcap : Obs.Pcap.t;
@@ -75,18 +77,12 @@ let create ?metrics ?tracer ?pcap ?(node = "txq") ?(port = 0) engine ~rate_bps ~
     prop_delay;
     jitter;
     deliver;
-    q_pkt = Array.make initial_ring Packet.dummy;
-    q_size = Array.make initial_ring 0;
-    q_enq = Array.make initial_ring 0;
-    q_head = 0;
-    q_len = 0;
-    cur_pkt = Packet.dummy;
-    cur_size = 0;
-    cur_enq = Time_ns.zero;
-    d_pkt = Array.make initial_ring Packet.dummy;
-    d_due = Array.make initial_ring 0;
-    d_head = 0;
-    d_len = 0;
+    r_pkt = Array.make initial_ring Packet.dummy;
+    r_size = Array.make initial_ring 0;
+    r_time = Array.make initial_ring 0;
+    head = 0;
+    tx = 0;
+    tail = 0;
     d_armed = false;
     tracer = (match tracer with Some t -> t | None -> Obs.Runtime.tracer ());
     pcap = (match pcap with Some p -> p | None -> Obs.Runtime.pcap ());
@@ -106,54 +102,50 @@ let set_on_tx_complete t f = t.on_tx_complete <- f
 let queued_bytes t = t.queued_bytes
 (* Waiting frames only — the one on the serializer is excluded (matching
    [queued_bytes]'s complement: bytes include it, the count never did). *)
-let queued_packets t = t.q_len
+let queued_packets t = t.tail - t.tx - if t.busy then 1 else 0
 let rate_bps t = t.rate_bps
 let busy t = t.busy
 
 let tx_time t ~bytes = bytes * 8 * 1_000_000_000 / t.rate_bps
 
-(* Ring plumbing: grow-by-doubling, unwrapping the circular layout. *)
+let[@inline] slot t seq = seq land (Array.length t.r_pkt - 1)
 
-let grow_wait t =
-  let cap = Array.length t.q_pkt in
+(* Grow by doubling, re-laying each live entry at its sequence number's
+   slot under the new mask. *)
+let grow t =
+  let cap = Array.length t.r_pkt in
   let pkt = Array.make (2 * cap) Packet.dummy in
   let size = Array.make (2 * cap) 0 in
-  let enq = Array.make (2 * cap) 0 in
-  for i = 0 to t.q_len - 1 do
-    let j = (t.q_head + i) land (cap - 1) in
-    pkt.(i) <- t.q_pkt.(j);
-    size.(i) <- t.q_size.(j);
-    enq.(i) <- t.q_enq.(j)
+  let time = Array.make (2 * cap) 0 in
+  for seq = t.head to t.tail - 1 do
+    let i = seq land (cap - 1) and j = seq land ((2 * cap) - 1) in
+    pkt.(j) <- t.r_pkt.(i);
+    size.(j) <- t.r_size.(i);
+    time.(j) <- t.r_time.(i)
   done;
-  t.q_pkt <- pkt;
-  t.q_size <- size;
-  t.q_enq <- enq;
-  t.q_head <- 0
-
-let grow_deliv t =
-  let cap = Array.length t.d_pkt in
-  let pkt = Array.make (2 * cap) Packet.dummy in
-  let due = Array.make (2 * cap) 0 in
-  for i = 0 to t.d_len - 1 do
-    let j = (t.d_head + i) land (cap - 1) in
-    pkt.(i) <- t.d_pkt.(j);
-    due.(i) <- t.d_due.(j)
-  done;
-  t.d_pkt <- pkt;
-  t.d_due <- due;
-  t.d_head <- 0
+  t.r_pkt <- pkt;
+  t.r_size <- size;
+  t.r_time <- time
 
 (* The delivery handler for the jittered path: one pooled event per frame,
-   no closure. *)
-let deliver_one_h : (t, Packet.t) Engine.handler =
-  Engine.handler (fun t pkt -> t.deliver pkt)
+   carrying the frame's sequence number, no closure. *)
+let deliver_one t seq =
+  let i = slot t seq in
+  let pkt = t.r_pkt.(i) in
+  t.r_pkt.(i) <- Packet.dummy;
+  while t.head < t.tx && t.r_pkt.(slot t t.head) == Packet.dummy do
+    t.head <- t.head + 1
+  done;
+  t.deliver pkt
+
+let deliver_one_h : (t, int) Engine.handler = Engine.handler deliver_one
 
 (* [finish] (serialization complete), [start_next] and [deliver_batch] are
    mutually recursive with their own static handlers; the handlers are
    [lazy] so the recursive group ties the knot at module init. *)
 let rec finish_unprofiled t =
-  let pkt = t.cur_pkt and size = t.cur_size and enq_ns = t.cur_enq in
-  t.cur_pkt <- Packet.dummy;
+  let i = slot t t.tx in
+  let pkt = t.r_pkt.(i) and size = t.r_size.(i) and enq_ns = t.r_time.(i) in
   t.queued_bytes <- t.queued_bytes - size;
   let now = Engine.now t.engine in
   let sojourn = Time_ns.diff now enq_ns in
@@ -173,19 +165,17 @@ let rec finish_unprofiled t =
      downstream nodes will actually see. *)
   if Obs.Pcap.enabled t.pcap then Obs.Pcap.capture t.pcap ~iface:t.iface ~now pkt;
   t.on_tx_complete pkt ~size;
+  let seq = t.tx in
+  t.tx <- seq + 1;
   (match t.jitter with
   | Some (rng, j) when j > 0 ->
     let delay = Time_ns.add t.prop_delay (Eventsim.Rng.int rng j) in
-    Engine.schedule_static_after t.engine ~delay deliver_one_h t pkt
+    Engine.schedule_static_after t.engine ~delay deliver_one_h t seq
   | Some _ | None ->
-    (* Coalescing path: append to the delivery ring; due times are
-       nondecreasing so the single armed event drains it in order. *)
+    (* Coalescing path: the frame joins the propagating run; due times
+       are nondecreasing so the single armed event drains it in order. *)
     let due = Time_ns.add now t.prop_delay in
-    if t.d_len = Array.length t.d_pkt then grow_deliv t;
-    let tail = (t.d_head + t.d_len) land (Array.length t.d_pkt - 1) in
-    t.d_pkt.(tail) <- pkt;
-    t.d_due.(tail) <- due;
-    t.d_len <- t.d_len + 1;
+    t.r_time.(slot t seq) <- due;
     if not t.d_armed then begin
       t.d_armed <- true;
       Engine.schedule_static t.engine ~at:due (Lazy.force deliver_batch_h) t ()
@@ -204,63 +194,52 @@ and finish t () =
   else finish_unprofiled t
 
 and start_next t =
-  if t.q_len = 0 then t.busy <- false
+  if t.tx = t.tail then t.busy <- false
   else begin
     t.busy <- true;
-    let cap = Array.length t.q_pkt in
-    let h = t.q_head in
-    t.cur_pkt <- t.q_pkt.(h);
-    t.cur_size <- t.q_size.(h);
-    t.cur_enq <- t.q_enq.(h);
-    t.q_pkt.(h) <- Packet.dummy;
-    t.q_head <- (h + 1) land (cap - 1);
-    t.q_len <- t.q_len - 1;
-    Engine.schedule_static_after t.engine ~delay:(tx_time t ~bytes:t.cur_size)
+    Engine.schedule_static_after t.engine
+      ~delay:(tx_time t ~bytes:t.r_size.(slot t t.tx))
       (Lazy.force finish_h) t ()
   end
 
-(* Drain every ring entry due now (one dispatch covers a whole same-instant
-   run), then re-arm for the next due time, if any. *)
+(* Drain every propagating frame due now (one dispatch covers a whole
+   same-instant run), then re-arm for the next due time, if any. *)
 and deliver_batch t () =
   let now = Engine.now t.engine in
-  let continue = ref true in
-  while !continue && t.d_len > 0 do
-    let h = t.d_head in
-    if t.d_due.(h) = now then begin
-      let pkt = t.d_pkt.(h) in
-      t.d_pkt.(h) <- Packet.dummy;
-      t.d_head <- (h + 1) land (Array.length t.d_pkt - 1);
-      t.d_len <- t.d_len - 1;
-      t.deliver pkt
-    end
-    else continue := false
+  while t.head < t.tx && t.r_time.(slot t t.head) = now do
+    let i = slot t t.head in
+    let pkt = t.r_pkt.(i) in
+    t.r_pkt.(i) <- Packet.dummy;
+    t.head <- t.head + 1;
+    t.deliver pkt
   done;
-  if t.d_len > 0 then
-    Engine.schedule_static t.engine ~at:t.d_due.(t.d_head) (Lazy.force deliver_batch_h) t ()
+  if t.head < t.tx then
+    Engine.schedule_static t.engine ~at:t.r_time.(slot t t.head) (Lazy.force deliver_batch_h) t ()
   else t.d_armed <- false
 
 and finish_h = lazy (Engine.handler finish)
 and deliver_batch_h = lazy (Engine.handler deliver_batch)
 
-let enqueue_unprofiled ?size t pkt =
-  let size = match size with Some s -> s | None -> Packet.wire_size pkt in
+let enqueue_unprofiled t pkt ~size =
   t.queued_bytes <- t.queued_bytes + size;
   if Obs.Trace.enabled t.tracer then
     Obs.Trace.emit t.tracer ~now:(Engine.now t.engine)
       (Obs.Trace.Enqueue
          { node = t.node; port = t.port; pkt = pkt.Packet.id; size; qbytes = t.queued_bytes });
-  if t.q_len = Array.length t.q_pkt then grow_wait t;
-  let tail = (t.q_head + t.q_len) land (Array.length t.q_pkt - 1) in
-  t.q_pkt.(tail) <- pkt;
-  t.q_size.(tail) <- size;
-  t.q_enq.(tail) <- Engine.now t.engine;
-  t.q_len <- t.q_len + 1;
+  if t.tail - t.head = Array.length t.r_pkt then grow t;
+  let i = slot t t.tail in
+  t.r_pkt.(i) <- pkt;
+  t.r_size.(i) <- size;
+  t.r_time.(i) <- Engine.now t.engine;
+  t.tail <- t.tail + 1;
   if not t.busy then start_next t
 
-let enqueue ?size t pkt =
+let enqueue_sized t pkt ~size =
   if !Profcore.on then begin
     let tok = Profcore.enter Profcore.Site.txq_enqueue in
-    enqueue_unprofiled ?size t pkt;
+    enqueue_unprofiled t pkt ~size;
     Profcore.leave tok
   end
-  else enqueue_unprofiled ?size t pkt
+  else enqueue_unprofiled t pkt ~size
+
+let enqueue t pkt = enqueue_sized t pkt ~size:(Packet.wire_size pkt)

@@ -1,15 +1,20 @@
 module Flow_key = Dcpkt.Flow_key
 module Int_meta = Dcpkt.Int_meta
 
+(* The float sum sits in its own all-float record, stored flat, so adding
+   a sample boxes nothing. *)
+type sum = { mutable svc_sum_bps : float }
+
 type hop_agg = {
+  label : string; (* "switch:port", formatted once per hop *)
   sojourn : Dcstats.Samples.t;
   mutable max_qbytes : int;
-  mutable svc_sum_bps : float;
+  svc : sum;
   mutable samples : int;
 }
 
 type t = {
-  per_hop : (string, hop_agg) Hashtbl.t;
+  per_hop : (int, hop_agg) Hashtbl.t; (* keyed by [Int_meta.hop_key] *)
   mutable path_sojourn : Dcstats.Samples.t;
   mutable packets : int;
   mutable hops : int;
@@ -37,44 +42,48 @@ let reset t =
 
 let watch t ~ts ?(prefix = "flow") flow = t.watched <- Some (ts, prefix, flow)
 
-let hop_label (h : Int_meta.hop) = Printf.sprintf "%s:%d" (Int_meta.name h.hop_id) h.port
-
-let agg_for t label =
-  match Hashtbl.find_opt t.per_hop label with
-  | Some a -> a
-  | None ->
+let agg_for t (h : Int_meta.hop) =
+  let key = Int_meta.hop_key h in
+  match Hashtbl.find t.per_hop key with
+  | a -> a
+  | exception Not_found ->
     let a =
-      { sojourn = Dcstats.Samples.create (); max_qbytes = 0; svc_sum_bps = 0.0; samples = 0 }
+      {
+        label = Int_meta.hop_label h;
+        sojourn = Dcstats.Samples.create ();
+        max_qbytes = 0;
+        svc = { svc_sum_bps = 0.0 };
+        samples = 0;
+      }
     in
-    Hashtbl.add t.per_hop label a;
+    Hashtbl.add t.per_hop key a;
     a
 
 let absorb t ~now ~flow ~hops ~exceeded =
   t.packets <- t.packets + 1;
   if exceeded then t.exceeded <- t.exceeded + 1;
   let path = ref 0 in
-  Array.iter
-    (fun (h : Int_meta.hop) ->
-      t.hops <- t.hops + 1;
-      let sojourn = Int_meta.sojourn_ns h in
-      path := !path + sojourn;
-      let label = hop_label h in
-      let agg = agg_for t label in
-      Dcstats.Samples.add agg.sojourn (float_of_int sojourn);
-      if h.qbytes > agg.max_qbytes then agg.max_qbytes <- h.qbytes;
-      agg.svc_sum_bps <- agg.svc_sum_bps +. float_of_int h.svc_bps;
-      agg.samples <- agg.samples + 1;
-      match t.watched with
-      | Some (ts, prefix, f)
-        when Flow_key.equal f flow || Flow_key.equal (Flow_key.reverse f) flow ->
-        let ch name =
-          Timeseries.channel ts (Printf.sprintf "int.%s.%s.%s" prefix label name)
-        in
-        Timeseries.record (ch "sojourn_ns") ~now (float_of_int sojourn);
-        Timeseries.record (ch "qbytes") ~now (float_of_int h.qbytes)
-      | Some _ | None -> ())
-    hops;
-  if Array.length hops > 0 then Dcstats.Samples.add t.path_sojourn (float_of_int !path)
+  for i = 0 to Array.length hops - 1 do
+    let h : Int_meta.hop = hops.(i) in
+    t.hops <- t.hops + 1;
+    let sojourn = Int_meta.sojourn_ns h in
+    path := !path + sojourn;
+    let agg = agg_for t h in
+    Dcstats.Samples.add_int agg.sojourn sojourn;
+    if h.qbytes > agg.max_qbytes then agg.max_qbytes <- h.qbytes;
+    agg.svc.svc_sum_bps <- agg.svc.svc_sum_bps +. float_of_int h.svc_bps;
+    agg.samples <- agg.samples + 1;
+    match t.watched with
+    | Some (ts, prefix, f)
+      when Flow_key.equal f flow || Flow_key.equal (Flow_key.reverse f) flow ->
+      let ch name =
+        Timeseries.channel ts (Printf.sprintf "int.%s.%s.%s" prefix agg.label name)
+      in
+      Timeseries.record (ch "sojourn_ns") ~now (float_of_int sojourn);
+      Timeseries.record (ch "qbytes") ~now (float_of_int h.qbytes)
+    | Some _ | None -> ()
+  done;
+  if Array.length hops > 0 then Dcstats.Samples.add_int t.path_sojourn !path
 
 let touched t = t.packets > 0
 
@@ -100,7 +109,7 @@ let samples_json samples =
 
 let to_json t =
   let hops =
-    Hashtbl.fold (fun label agg acc -> (label, agg) :: acc) t.per_hop []
+    Hashtbl.fold (fun _ agg acc -> (agg.label, agg) :: acc) t.per_hop []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
     |> List.map (fun (label, agg) ->
            ( label,
@@ -111,7 +120,7 @@ let to_json t =
                  ( "mean_svc_gbps",
                    Json.Float
                      (if agg.samples = 0 then 0.0
-                      else agg.svc_sum_bps /. float_of_int agg.samples /. 1e9) );
+                      else agg.svc.svc_sum_bps /. float_of_int agg.samples /. 1e9) );
                ] ))
   in
   Json.Obj

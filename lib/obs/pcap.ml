@@ -215,6 +215,10 @@ let read_classic s =
     end
   end
 
+(* Finest decimal resolution whose tick-to-ns divisor 10^(resol - 9) fits
+   an OCaml int (10^18 < 2^62).  Beyond it the divisor wraps, to 0 at 72. *)
+let max_tsresol = 27
+
 let read_ng s =
   let len = String.length s in
   let frames = ref [] in
@@ -251,6 +255,8 @@ let read_ng s =
         let id = List.length !ifaces in
         ifaces := (match !name with Some n -> n | None -> Printf.sprintf "if%d" id) :: !ifaces;
         if !resol land 0x80 <> 0 then fail "pcapng: power-of-2 tsresol unsupported"
+        else if !resol > max_tsresol then
+          fail (Printf.sprintf "pcapng: tsresol 10^-%d out of range" !resol)
         else Hashtbl.replace tsresol id !resol
       end
     end

@@ -45,11 +45,17 @@ type event =
       spent : int;
     }
 
+(* Parallel arrays, not an array of [Some (t, ev)]: recording an event
+   then stores the event itself and an unboxed time, with no tuple or
+   option around it.  Slots not yet written hold [vacant]. *)
 type ring = {
-  slots : (Time_ns.t * event) option array;
+  times : int array;
+  slots : event array;
   mutable next : int;
   mutable total : int;
 }
+
+let vacant = Delivered { node = ""; pkt = 0 }
 
 type t =
   | Null
@@ -64,7 +70,8 @@ let tee a b = match (a, b) with Null, t | t, Null -> t | a, b -> Tee (a, b)
 
 let ring ?(capacity = 1024) () =
   assert (capacity > 0);
-  Ring { slots = Array.make capacity None; next = 0; total = 0 }
+  Ring
+    { times = Array.make capacity 0; slots = Array.make capacity vacant; next = 0; total = 0 }
 
 let jsonl ~write = Write write
 
@@ -197,6 +204,16 @@ let pkt_kind (p : Packet.t) =
   else if p.payload > 0 then "data"
   else if (not p.has_ack) && Packet.pack_info p <> None then "fack"
   else "ack"
+
+let host_nodes : (int, string) Hashtbl.t = Hashtbl.create 64
+
+let host_node ip =
+  match Hashtbl.find host_nodes ip with
+  | name -> name
+  | exception Not_found ->
+    let name = Printf.sprintf "host%d" ip in
+    Hashtbl.add host_nodes ip name;
+    name
 
 let created ?kind ~node (p : Packet.t) =
   Created
@@ -507,7 +524,8 @@ let rec emit_unprofiled t ~now event =
   match t with
   | Null -> ()
   | Ring r ->
-    r.slots.(r.next) <- Some (now, event);
+    r.times.(r.next) <- now;
+    r.slots.(r.next) <- event;
     r.next <- (r.next + 1) mod Array.length r.slots;
     r.total <- r.total + 1
   | Write write -> write (Json.to_string (event_to_json ~now event))
@@ -532,9 +550,9 @@ let rec events = function
   | Ring r ->
     let capacity = Array.length r.slots in
     let oldest = if r.total <= capacity then 0 else r.next in
-    List.filter_map
-      (fun i -> r.slots.((oldest + i) mod capacity))
-      (List.init (Stdlib.min r.total capacity) Fun.id)
+    List.init (Stdlib.min r.total capacity) (fun i ->
+        let j = (oldest + i) mod capacity in
+        (r.times.(j), r.slots.(j)))
   | Tee (a, b) -> events a @ events b
   | Filter (_, inner) -> events inner
 

@@ -164,6 +164,10 @@ val pkt_kind : Dcpkt.Packet.t -> string
     ["rst"], ["fin"], ["data"], ["fack"] (a pure PACK-carrier injected by
     the AC/DC receiver) or ["ack"]. *)
 
+val host_node : int -> string
+(** ["host<ip>"], the [node] of events a host's stack emits.  Built once
+    per host and shared, so tracing a packet formats no name. *)
+
 val created : ?kind:string -> node:string -> Dcpkt.Packet.t -> event
 (** The [Created] event for a packet entering the network at [node];
     [kind] defaults to [pkt_kind]. *)

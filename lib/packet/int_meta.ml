@@ -2,7 +2,7 @@ type hop = {
   hop_id : int;
   port : int;
   ingress_ns : int;
-  egress_ns : int;
+  mutable egress_ns : int;
   qbytes : int;
   svc_bps : int;
 }
@@ -36,6 +36,11 @@ let register ~name =
 
 let name id =
   match Hashtbl.find_opt names id with Some n -> n | None -> Printf.sprintf "hop%d" id
+
+(* Ids are 8-bit (see [register]) and ports nonnegative. *)
+let hop_key h = (h.port lsl 8) lor h.hop_id
+
+let hop_label h = Printf.sprintf "%s:%d" (name h.hop_id) h.port
 
 let reset () =
   Hashtbl.reset ids;

@@ -16,7 +16,9 @@ type hop = {
   hop_id : int;  (** switch identity from {!register}, 8 bits on the wire *)
   port : int;  (** egress port index on that switch, 8 bits on the wire *)
   ingress_ns : int;  (** virtual-clock time the hop admitted the packet *)
-  egress_ns : int;  (** serialization-complete time; 0 while still queued *)
+  mutable egress_ns : int;
+      (** serialization-complete time; 0 while still queued.  Written once,
+          in place, by the queue that serializes the packet. *)
   qbytes : int;  (** egress-queue depth found at enqueue, bytes *)
   svc_bps : int;  (** per-port service-rate estimate, bits/sec *)
 }
@@ -45,6 +47,13 @@ val register : name:string -> int
 val name : int -> string
 (** The registered name for an id, or ["hop<id>"] if unknown (e.g. a hop
     decoded from a foreign capture). *)
+
+val hop_key : hop -> int
+(** The hop's (switch, port) pair as one int — a per-packet table key for
+    aggregating by hop without formatting {!hop_label}. *)
+
+val hop_label : hop -> string
+(** ["<switch name>:<port>"], the hop's name in reports and channels. *)
 
 val reset : unit -> unit
 (** Forget all registrations and re-enable from a clean slate (test

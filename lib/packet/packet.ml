@@ -57,8 +57,10 @@ let dummy =
     sent_at = Eventsim.Time_ns.zero;
   }
 
-let make ~key ?(seq = 0) ?(ack = 0) ?(syn = false) ?(fin = false) ?(rst = false)
-    ?(has_ack = false) ?(ecn = Not_ect) ?(rwnd_field = 0xFFFF) ?(options = []) ~payload () =
+(* Every constructor funnels through here.  No optional arguments: an
+   optional argument costs its caller a [Some] box per call, and the
+   endpoint builds a packet per segment and per ACK. *)
+let create ~key ~seq ~ack ~syn ~fin ~rst ~has_ack ~ecn ~rwnd_field ~options ~payload =
   incr next_id;
   {
     id = !next_id;
@@ -81,12 +83,27 @@ let make ~key ?(seq = 0) ?(ack = 0) ?(syn = false) ?(fin = false) ?(rst = false)
     sent_at = Eventsim.Time_ns.zero;
   }
 
+let make ~key ?(seq = 0) ?(ack = 0) ?(syn = false) ?(fin = false) ?(rst = false)
+    ?(has_ack = false) ?(ecn = Not_ect) ?(rwnd_field = 0xFFFF) ?(options = []) ~payload () =
+  create ~key ~seq ~ack ~syn ~fin ~rst ~has_ack ~ecn ~rwnd_field ~options ~payload
+
+let segment ~key ~seq ~ack ~ecn ~rwnd_field ~payload =
+  create ~key ~seq ~ack ~syn:false ~fin:false ~rst:false ~has_ack:true ~ecn ~rwnd_field
+    ~options:[] ~payload
+
 (* A wire duplicate is a distinct frame: it gets its own id (for tracing)
    and its own mutable fields, so a vSwitch rewriting one copy cannot
-   corrupt the other. *)
+   corrupt the other.  That includes the open INT hop, which the next
+   serializer completes in place: the copy gets its own.  Completed hops
+   are never written again and stay shared. *)
 let copy t =
   incr next_id;
-  { t with id = !next_id }
+  let int_stack =
+    match t.int_stack with
+    | h :: tl when h.Int_meta.egress_ns = 0 -> { h with Int_meta.egress_ns = 0 } :: tl
+    | stack -> stack
+  in
+  { t with id = !next_id; int_stack }
 
 let option_bytes = function
   | Mss _ -> 4
@@ -113,24 +130,31 @@ let seq_end t =
 
 let is_ect t = match t.ecn with Not_ect -> false | Ect0 | Ect1 | Ce -> true
 
-let find_option t ~f =
-  let rec search = function
-    | [] -> None
-    | o :: rest -> ( match f o with Some _ as r -> r | None -> search rest)
-  in
-  search t.options
+(* Top-level, taking [f] as an argument: a local loop closed over [f] would
+   be allocated on every call, and SACK blocks are looked up per ACK. *)
+let rec search_options f = function
+  | [] -> None
+  | o :: rest -> ( match f o with Some _ as r -> r | None -> search_options f rest)
+
+let find_option t ~f = search_options f t.options
 
 let same_constructor a b =
   match (a, b) with
   | Mss _, Mss _ | Window_scale _, Window_scale _ | Pack _, Pack _ | Sack _, Sack _ -> true
   | (Mss _ | Window_scale _ | Pack _ | Sack _), _ -> false
 
-let set_option t o =
-  t.options <- o :: List.filter (fun existing -> not (same_constructor existing o)) t.options
+(* Explicit recursion rather than [List.filter]: the stdlib's filter
+   allocates its own closure on every call, and PACK is attached and
+   removed on every ACK. *)
+let rec without o = function
+  | [] -> []
+  | x :: rest -> if same_constructor x o then without o rest else x :: without o rest
 
-let remove_pack t =
-  t.options <-
-    List.filter (function Pack _ -> false | Mss _ | Window_scale _ | Sack _ -> true) t.options
+let set_option t o = t.options <- o :: without o t.options
+
+let any_pack = Pack { total_bytes = 0; marked_bytes = 0 }
+
+let remove_pack t = t.options <- without any_pack t.options
 
 let wscale t =
   find_option t ~f:(function Window_scale s -> Some s | Mss _ | Pack _ | Sack _ -> None)
@@ -139,6 +163,19 @@ let pack_info t =
   find_option t ~f:(function
     | Pack { total_bytes; marked_bytes } -> Some (total_bytes, marked_bytes)
     | Mss _ | Window_scale _ | Sack _ -> None)
+
+let rec pack_total_in = function
+  | [] -> -1
+  | Pack { total_bytes; _ } :: _ -> total_bytes
+  | (Mss _ | Window_scale _ | Sack _) :: rest -> pack_total_in rest
+
+let rec pack_marked_in = function
+  | [] -> -1
+  | Pack { marked_bytes; _ } :: _ -> marked_bytes
+  | (Mss _ | Window_scale _ | Sack _) :: rest -> pack_marked_in rest
+
+let pack_total t = pack_total_in t.options
+let pack_marked t = pack_marked_in t.options
 
 let sack_blocks t =
   match
@@ -170,8 +207,7 @@ let add_int_hop t hop =
 
 let complete_int_hop t ~egress_ns =
   match t.int_stack with
-  | h :: tl when h.Int_meta.egress_ns = 0 ->
-    t.int_stack <- { h with Int_meta.egress_ns } :: tl
+  | h :: _ when h.Int_meta.egress_ns = 0 -> h.Int_meta.egress_ns <- egress_ns
   | _ -> ()
 
 let int_hops t = Array.of_list (List.rev t.int_stack)

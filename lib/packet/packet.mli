@@ -70,11 +70,20 @@ val make :
   unit ->
   t
 
+val segment :
+  key:Flow_key.t -> seq:int -> ack:int -> ecn:ecn -> rwnd_field:int -> payload:int -> t
+(** An established-connection segment or pure ACK: ACK flag set, no
+    SYN/FIN/RST, no options.  The endpoint's per-segment constructor; it
+    takes no optional arguments, so a call allocates the packet and
+    nothing else. *)
+
 val copy : t -> t
 (** A field-for-field copy with a fresh [id] — the model of a duplicated
     wire frame.  Because fields are mutable and the same packet value flows
     through the whole pipeline, fault-injection layers must deliver a
-    [copy] rather than aliasing the original. *)
+    [copy] rather than aliasing the original.  An open INT hop (the one the
+    next serializer completes in place) is copied too; the two frames never
+    share it. *)
 
 val header_bytes : t -> int
 (** Ethernet + IP + TCP header bytes including options. *)
@@ -104,6 +113,14 @@ val sack_blocks : t -> (int * int) list
 val pack_info : t -> (int * int) option
 (** [(total_bytes, marked_bytes)] from a PACK option, if present. *)
 
+val pack_total : t -> int
+(** [total_bytes] of the PACK option, or [-1] when there is none.  With
+    {!pack_marked}, the allocation-free form of {!pack_info} for the
+    per-ACK path. *)
+
+val pack_marked : t -> int
+(** [marked_bytes] of the PACK option, or [-1] when there is none. *)
+
 (** {2 INT hop stack}
 
     Per-hop telemetry stamped by switches (see {!Int_meta}).  The stack
@@ -118,8 +135,8 @@ val add_int_hop : t -> Int_meta.hop -> unit
 (** Push a hop, or set [int_exceeded] when {!can_add_int_hop} is false. *)
 
 val complete_int_hop : t -> egress_ns:int -> unit
-(** Fill the top hop's egress timestamp if it is still open (egress 0).
-    Hops completed at earlier switches are left untouched. *)
+(** Fill the top hop's egress timestamp, in place, if it is still open
+    (egress 0).  Hops completed at earlier switches are left untouched. *)
 
 val int_hops : t -> Int_meta.hop array
 (** The stack in path order (first hop first). *)

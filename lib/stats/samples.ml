@@ -6,7 +6,7 @@ type t = {
 
 let create () = { data = [||]; size = 0; sorted = None }
 
-let add t x =
+let[@inline] add t x =
   if t.size = Array.length t.data then begin
     let cap = if t.size = 0 then 64 else 2 * t.size in
     let fresh = Array.make cap 0.0 in
@@ -16,6 +16,10 @@ let add t x =
   t.data.(t.size) <- x;
   t.size <- t.size + 1;
   t.sorted <- None
+
+(* [add] is inlined here, so the conversion stays unboxed: callers in
+   other modules avoid boxing a float argument per sample. *)
+let add_int t n = add t (float_of_int n)
 
 let count t = t.size
 let is_empty t = t.size = 0

@@ -8,6 +8,10 @@ type t
 
 val create : unit -> t
 val add : t -> float -> unit
+
+val add_int : t -> int -> unit
+(** [add t (float_of_int n)] without boxing a float at the call site. *)
+
 val count : t -> int
 val is_empty : t -> bool
 

@@ -3,37 +3,41 @@ module Time_ns = Eventsim.Time_ns
 let c = 0.4
 let beta = 0.7
 
+(* All fields are floats, so OCaml stores them flat and unboxed: writing
+   one on every ACK allocates nothing and stores no pointer. *)
 type state = {
   mutable w_max : float; (* MSS units *)
-  mutable epoch_start : Time_ns.t option;
+  mutable epoch_start : float; (* ns of the virtual clock; [no_epoch] when none *)
   mutable k : float; (* seconds *)
   mutable origin : float;
   mutable tcp_epoch_cwnd : float;
   mutable acked_since_epoch : float; (* MSS units, for the Reno estimate *)
 }
 
+(* Clock readings are nonnegative and far below 2^53 ns, so they
+   round-trip through a float exactly. *)
+let no_epoch = -1.0
+
 let make () =
   let s =
     {
       w_max = 0.0;
-      epoch_start = None;
+      epoch_start = no_epoch;
       k = 0.0;
       origin = 0.0;
       tcp_epoch_cwnd = 0.0;
       acked_since_epoch = 0.0;
     }
   in
-  let reset_epoch () = s.epoch_start <- None in
+  let reset_epoch () = s.epoch_start <- no_epoch in
   let on_ack view ~acked ~rtt:_ ~ce_marked:_ =
     let mss = float_of_int view.Cc.mss in
     let cwnd = view.Cc.get_cwnd () in
     if cwnd < view.Cc.get_ssthresh () then Cc.reno_increase view ~acked
     else begin
       let cwnd_mss = float_of_int cwnd /. mss in
-      (match s.epoch_start with
-      | Some _ -> ()
-      | None ->
-        s.epoch_start <- Some (view.Cc.now ());
+      if s.epoch_start = no_epoch then begin
+        s.epoch_start <- float_of_int (view.Cc.now ());
         if s.w_max > cwnd_mss then begin
           s.k <- Float.cbrt (s.w_max *. (1.0 -. beta) /. c);
           s.origin <- s.w_max
@@ -43,10 +47,14 @@ let make () =
           s.origin <- cwnd_mss
         end;
         s.tcp_epoch_cwnd <- cwnd_mss;
-        s.acked_since_epoch <- 0.0);
+        s.acked_since_epoch <- 0.0
+      end;
       s.acked_since_epoch <- s.acked_since_epoch +. (float_of_int acked /. mss);
-      let epoch_start = match s.epoch_start with Some t -> t | None -> assert false in
-      let t = Time_ns.to_sec (Time_ns.diff (view.Cc.now ()) epoch_start) in
+      (* [Time_ns.to_sec], spelled out: across modules the call would
+         return a boxed float. *)
+      let t =
+        float_of_int (Time_ns.diff (view.Cc.now ()) (int_of_float s.epoch_start)) /. 1e9
+      in
       let dt = t -. s.k in
       let target = s.origin +. (c *. dt *. dt *. dt) in
       (* Reno-friendliness: estimated window a standard AIMD flow with the

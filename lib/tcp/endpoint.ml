@@ -55,6 +55,7 @@ type t = {
   out : Packet.t -> unit;
   is_client : bool;
   algo : Cc.t;
+  mutable view : Cc.view; (* see [view] *)
   rto : Rto.t;
   tracer : Obs.Trace.t;
   attrib : Obs.Attrib.t;
@@ -72,12 +73,10 @@ type t = {
   mutable sacked : (int * int) list; (* receiver-reported intervals above snd_una *)
   mutable high_rxt : int; (* retransmission cursor within the holes *)
   mutable rxt_out : int; (* retransmitted bytes estimated still in flight *)
-  mutable rto_timer : Engine.timer option;
+  (* Timer handles built once per endpoint (lazily, at first arm) and
+     re-armed in place — RTO rearms on every ACK. *)
+  mutable rto_timer : Engine.timer;
   mutable rto_recovering : bool; (* between an RTO firing and the next new ACK *)
-  (* Timer actions built once per endpoint (lazily, at first arm) instead
-     of once per arming — RTO rearms on every ACK. *)
-  mutable rto_action : unit -> unit;
-  mutable delack_action : unit -> unit;
   mutable rtt_seq : int; (* seq_end being timed, -1 if none *)
   mutable rtt_sent_at : Time_ns.t;
   mutable app_bytes : int; (* cumulative bytes handed to us by the app *)
@@ -92,7 +91,7 @@ type t = {
   mutable ooo : (int * int) list; (* disjoint sorted received intervals > rcv_nxt *)
   mutable ece_latched : bool; (* classic RFC 3168 echo state *)
   mutable fin_received : bool;
-  mutable delack_timer : Engine.timer option;
+  mutable delack_timer : Engine.timer;
   mutable unacked_segments : int;
   (* --- counters & hooks --- *)
   mutable bytes_acked : int;
@@ -106,11 +105,23 @@ type t = {
 
 let data_start = 1 (* client ISS = 0; SYN consumes one sequence number *)
 
-(* "Not built yet" sentinel for the per-endpoint timer actions: a single
-   static closure, so physical equality is a reliable test.  ([ignore]
-   won't do — the primitive eta-expands to a fresh closure per use
-   site.) *)
-let unset_action () = ()
+(* "Not built yet" sentinel for the per-endpoint timer handles: never
+   armed, so never pending, and compared physically before first use. *)
+let unset_timer = Engine.timer ignore
+
+(* Likewise for the congestion-control view, built at first use. *)
+let unset_view =
+  let zero () = 0 and skip (_ : int) = () in
+  {
+    Cc.now = zero;
+    mss = 0;
+    get_cwnd = zero;
+    set_cwnd = skip;
+    get_ssthresh = zero;
+    set_ssthresh = skip;
+    in_flight = zero;
+    srtt = (fun () -> None);
+  }
 
 let create ?tracer engine config ~key ~out ~is_client =
   {
@@ -120,6 +131,7 @@ let create ?tracer engine config ~key ~out ~is_client =
     out;
     is_client;
     algo = config.cc ();
+    view = unset_view;
     rto = Rto.create ~min_rto:config.min_rto ();
     tracer = (match tracer with Some t -> t | None -> Obs.Runtime.tracer ());
     attrib = Obs.Runtime.attrib ();
@@ -136,10 +148,8 @@ let create ?tracer engine config ~key ~out ~is_client =
     sacked = [];
     high_rxt = 0;
     rxt_out = 0;
-    rto_timer = None;
+    rto_timer = unset_timer;
     rto_recovering = false;
-    rto_action = unset_action;
-    delack_action = unset_action;
     rtt_seq = -1;
     rtt_sent_at = Time_ns.zero;
     app_bytes = 0;
@@ -153,7 +163,7 @@ let create ?tracer engine config ~key ~out ~is_client =
     ooo = [];
     ece_latched = false;
     fin_received = false;
-    delack_timer = None;
+    delack_timer = unset_timer;
     unacked_segments = 0;
     bytes_acked = 0;
     retransmissions = 0;
@@ -182,17 +192,23 @@ let apply_cwnd t w =
     t.cwnd_hook (Engine.now t.engine) w
   end
 
+(* The algorithm's window onto this endpoint.  Built once per endpoint,
+   at first use, and cached: the algorithm runs on every ACK, and a fresh
+   view is eight closures. *)
 let view t =
-  {
-    Cc.now = (fun () -> Engine.now t.engine);
-    mss = t.config.mss;
-    get_cwnd = (fun () -> t.cwnd);
-    set_cwnd = apply_cwnd t;
-    get_ssthresh = (fun () -> t.ssthresh);
-    set_ssthresh = (fun v -> t.ssthresh <- v);
-    in_flight = (fun () -> t.snd_nxt - t.snd_una);
-    srtt = (fun () -> Rto.srtt t.rto);
-  }
+  if t.view == unset_view then
+    t.view <-
+      {
+        Cc.now = (fun () -> Engine.now t.engine);
+        mss = t.config.mss;
+        get_cwnd = (fun () -> t.cwnd);
+        set_cwnd = apply_cwnd t;
+        get_ssthresh = (fun () -> t.ssthresh);
+        set_ssthresh = (fun v -> t.ssthresh <- v);
+        in_flight = (fun () -> t.snd_nxt - t.snd_una);
+        srtt = (fun () -> Rto.srtt t.rto);
+      };
+  t.view
 
 (* ------------------------------------------------------------------ *)
 (* Packet construction                                                 *)
@@ -204,13 +220,13 @@ let emit t pkt =
   pkt.Packet.sent_at <- Engine.now t.engine;
   if Obs.Trace.enabled t.tracer then
     Obs.Trace.emit t.tracer ~now:(Engine.now t.engine)
-      (Obs.Trace.created ~node:(Printf.sprintf "host%d" t.key.Dcpkt.Flow_key.src_ip) pkt);
+      (Obs.Trace.created ~node:(Obs.Trace.host_node t.key.Dcpkt.Flow_key.src_ip) pkt);
   t.out pkt
 
 let make_ack t =
   let pkt =
-    Packet.make ~key:t.key ~seq:t.snd_nxt ~ack:t.rcv_nxt ~has_ack:true
-      ~rwnd_field:(advertised_window_field t) ~payload:0 ()
+    Packet.segment ~key:t.key ~seq:t.snd_nxt ~ack:t.rcv_nxt ~ecn:Packet.Not_ect
+      ~rwnd_field:(advertised_window_field t) ~payload:0
   in
   pkt.Packet.ece <- t.ece_latched;
   (match t.ooo with
@@ -241,10 +257,11 @@ let sacked_bytes t =
   List.fold_left (fun acc (s, e) -> acc + (e - s)) 0 t.sacked
 
 let prune_sacked t =
-  t.sacked <-
-    List.filter_map
-      (fun (s, e) -> if e <= t.snd_una then None else Some (Stdlib.max s t.snd_una, e))
-      t.sacked
+  if t.sacked <> [] then
+    t.sacked <-
+      List.filter_map
+        (fun (s, e) -> if e <= t.snd_una then None else Some (Stdlib.max s t.snd_una, e))
+        t.sacked
 
 (* Outstanding bytes as the sender estimates them: sent minus selectively
    acknowledged, plus retransmissions believed still in the network. *)
@@ -253,20 +270,15 @@ let pipe t = t.snd_nxt - t.snd_una - sacked_bytes t + t.rxt_out
 (* ------------------------------------------------------------------ *)
 (* RTO timer                                                           *)
 
-let cancel_rto t =
-  match t.rto_timer with
-  | Some timer ->
-    Engine.cancel timer;
-    t.rto_timer <- None
-  | None -> ()
+let cancel_rto t = Engine.cancel t.rto_timer
 
 let rec arm_rto t =
-  cancel_rto t;
   if t.snd_una < t.snd_nxt then begin
     let delay = Rto.timeout t.rto in
-    if t.rto_action == unset_action then t.rto_action <- (fun () -> handle_rto t);
-    t.rto_timer <- Some (Engine.timer_after t.engine ~delay t.rto_action)
+    if t.rto_timer == unset_timer then t.rto_timer <- Engine.timer (fun () -> handle_rto t);
+    Engine.arm t.engine t.rto_timer ~delay
   end
+  else cancel_rto t
 
 and syn_packet t =
   Packet.make ~key:t.key ~seq:0 ~syn:true
@@ -275,7 +287,6 @@ and syn_packet t =
     ~payload:0 ()
 
 and handle_rto t =
-  t.rto_timer <- None;
   if t.state = Syn_sent then begin
     (* A lost SYN has no ACK clock to recover it: only the timer can.  The
        general branch below would reset [snd_nxt] to [snd_una] and then
@@ -331,9 +342,9 @@ and effective_window t =
 
 and send_segment t ~seq ~payload ~retransmit =
   let pkt =
-    Packet.make ~key:t.key ~seq ~ack:t.rcv_nxt ~has_ack:true
+    Packet.segment ~key:t.key ~seq ~ack:t.rcv_nxt
       ~ecn:(if t.config.ecn_capable then Packet.Ect0 else Packet.Not_ect)
-      ~rwnd_field:(advertised_window_field t) ~payload ()
+      ~rwnd_field:(advertised_window_field t) ~payload
   in
   if t.need_cwr then begin
     pkt.Packet.cwr <- true;
@@ -391,7 +402,7 @@ and try_send t =
         else continue := false
       end
     done;
-    if !progress && t.rto_timer = None then arm_rto t;
+    if !progress && not (Engine.timer_pending t.rto_timer) then arm_rto t;
     maybe_send_fin t
   end;
   note_attrib t
@@ -467,12 +478,7 @@ let update_ece_state t (pkt : Packet.t) =
     if pkt.cwr then t.ece_latched <- false
   end
 
-let cancel_delack t =
-  match t.delack_timer with
-  | Some timer ->
-    Engine.cancel timer;
-    t.delack_timer <- None
-  | None -> ()
+let cancel_delack t = Engine.cancel t.delack_timer
 
 let ack_now t =
   cancel_delack t;
@@ -501,16 +507,15 @@ let handle_data t (pkt : Packet.t) =
   if must_ack_now then ack_now t
   else begin
     t.unacked_segments <- 1;
-    if t.delack_timer = None then begin
-      if t.delack_action == unset_action then
-        t.delack_action <-
-          (fun () ->
-            t.delack_timer <- None;
-            if t.unacked_segments > 0 then begin
-              t.unacked_segments <- 0;
-              send_pure_ack t
-            end);
-      t.delack_timer <- Some (Engine.timer_after t.engine ~delay:(Time_ns.us 500) t.delack_action)
+    if not (Engine.timer_pending t.delack_timer) then begin
+      if t.delack_timer == unset_timer then
+        t.delack_timer <-
+          Engine.timer (fun () ->
+              if t.unacked_segments > 0 then begin
+                t.unacked_segments <- 0;
+                send_pure_ack t
+              end);
+      Engine.arm t.engine t.delack_timer ~delay:(Time_ns.us 500)
     end
   end
 
@@ -520,18 +525,15 @@ let handle_data t (pkt : Packet.t) =
 let update_peer_window t (pkt : Packet.t) =
   t.peer_rwnd <- pkt.rwnd_field lsl t.peer_wscale
 
+(* A plain loop over the queue head: a local recursive function here
+   would be a closure allocated on every ACK. *)
 let complete_messages t =
   let popped = ref false in
-  let rec loop () =
-    match Queue.peek_opt t.messages with
-    | Some m when m.end_seq <= t.snd_una ->
-      ignore (Queue.pop t.messages);
-      popped := true;
-      m.on_complete (Time_ns.diff (Engine.now t.engine) m.submitted);
-      loop ()
-    | Some _ | None -> ()
-  in
-  loop ();
+  while (not (Queue.is_empty t.messages)) && (Queue.peek t.messages).end_seq <= t.snd_una do
+    let m = Queue.pop t.messages in
+    popped := true;
+    m.on_complete (Time_ns.diff (Engine.now t.engine) m.submitted)
+  done;
   (* The flow's attribution snapshot: taken when the last queued message
      completes (not on later pure ACKs), so the per-state durations sum to
      the connect-to-last-byte-acked FCT exactly. *)
@@ -594,12 +596,17 @@ let enter_fast_recovery t =
   t.algo.Cc.on_congestion (view t) Cc.Dup_acks;
   retransmit_holes t
 
+(* The scoreboard closures below capture [t], so they are built only when
+   there is SACK state to walk — not on every in-order ACK. *)
 let absorb_sack t (pkt : Packet.t) =
-  List.iter
-    (fun (s, e) ->
-      if e > t.snd_una && e <= t.snd_nxt then
-        t.sacked <- insert_interval t.sacked (Stdlib.max s t.snd_una) e)
-    (Packet.sack_blocks pkt)
+  match Packet.sack_blocks pkt with
+  | [] -> ()
+  | blocks ->
+    List.iter
+      (fun (s, e) ->
+        if e > t.snd_una && e <= t.snd_nxt then
+          t.sacked <- insert_interval t.sacked (Stdlib.max s t.snd_una) e)
+      blocks
 
 let handle_ack t (pkt : Packet.t) =
   update_peer_window t pkt;

@@ -1,10 +1,14 @@
 module Time_ns = Eventsim.Time_ns
 
+(* The estimator floats sit in their own all-float record, which OCaml
+   stores flat: a sample updates them without boxing a float or storing a
+   fresh pointer into the long-lived [t]. *)
+type est = { mutable srtt : float; (* ns *) mutable rttvar : float }
+
 type t = {
   min_rto : Time_ns.t;
   max_rto : Time_ns.t;
-  mutable srtt : float; (* ns *)
-  mutable rttvar : float;
+  est : est;
   mutable have_sample : bool;
   mutable backoff_factor : int;
   mutable samples : int;
@@ -15,8 +19,7 @@ let create ?(min_rto = Time_ns.ms 10) ?(max_rto = Time_ns.sec 4.0) () =
   {
     min_rto;
     max_rto;
-    srtt = 0.0;
-    rttvar = 0.0;
+    est = { srtt = 0.0; rttvar = 0.0 };
     have_sample = false;
     backoff_factor = 1;
     samples = 0;
@@ -26,20 +29,21 @@ let create ?(min_rto = Time_ns.ms 10) ?(max_rto = Time_ns.sec 4.0) () =
 let observe t sample =
   t.samples <- t.samples + 1;
   let r = float_of_int sample in
+  let e = t.est in
   if t.have_sample then begin
     (* RFC 6298 gains: beta = 1/4, alpha = 1/8. *)
-    t.rttvar <- (0.75 *. t.rttvar) +. (0.25 *. Float.abs (t.srtt -. r));
-    t.srtt <- (0.875 *. t.srtt) +. (0.125 *. r)
+    e.rttvar <- (0.75 *. e.rttvar) +. (0.25 *. Float.abs (e.srtt -. r));
+    e.srtt <- (0.875 *. e.srtt) +. (0.125 *. r)
   end
   else begin
-    t.srtt <- r;
-    t.rttvar <- r /. 2.0;
+    e.srtt <- r;
+    e.rttvar <- r /. 2.0;
     t.have_sample <- true
   end
 
 let timeout t =
   let base =
-    if t.have_sample then int_of_float (t.srtt +. Float.max 1.0 (4.0 *. t.rttvar))
+    if t.have_sample then int_of_float (t.est.srtt +. Float.max 1.0 (4.0 *. t.est.rttvar))
     else Time_ns.sec 1.0 (* RFC 6298 initial RTO; the paper's settings cut in fast *)
   in
   Time_ns.min t.max_rto (Time_ns.max t.min_rto base * t.backoff_factor)
@@ -50,7 +54,7 @@ let backoff t =
 
 let reset_backoff t = t.backoff_factor <- 1
 
-let srtt t = if t.have_sample then Some (int_of_float t.srtt) else None
+let srtt t = if t.have_sample then Some (int_of_float t.est.srtt) else None
 
 let samples t = t.samples
 

@@ -37,12 +37,22 @@ let create ?metrics ?(name = "vswitch") ?(clock = fun () -> Eventsim.Time_ns.zer
 
 let add_processor t p = t.processors <- t.processors @ [ p ]
 
-let run_chain processors pkt ~inject ~select =
-  let rec loop = function
-    | [] -> Pass
-    | p :: rest -> ( match (select p) pkt ~inject with Pass -> loop rest | Drop -> Drop)
-  in
-  loop processors
+(* One top-level loop per direction, closed over nothing, so running the
+   chain allocates nothing.  (A shared loop taking a field selector would
+   apply [select p pkt ~inject] as one three-argument call, which feeds
+   the two-argument hook its arguments one at a time through a
+   partial-application closure per processor per packet.) *)
+let rec run_egress processors pkt ~inject =
+  match processors with
+  | [] -> Pass
+  | p :: rest -> (
+    match p.egress pkt ~inject with Pass -> run_egress rest pkt ~inject | Drop -> Drop)
+
+let rec run_ingress processors pkt ~inject =
+  match processors with
+  | [] -> Pass
+  | p :: rest -> (
+    match p.ingress pkt ~inject with Pass -> run_ingress rest pkt ~inject | Drop -> Drop)
 
 let trace_drop t (pkt : Dcpkt.Packet.t) ~egress =
   if Obs.Trace.enabled t.tracer then
@@ -51,7 +61,7 @@ let trace_drop t (pkt : Dcpkt.Packet.t) ~egress =
 
 let process_egress_unprofiled t pkt ~emit =
   Obs.Metrics.incr t.m_egress_packets;
-  match run_chain t.processors pkt ~inject:emit ~select:(fun p -> p.egress) with
+  match run_egress t.processors pkt ~inject:emit with
   | Pass -> emit pkt
   | Drop ->
     Obs.Metrics.incr t.m_egress_drops;
@@ -67,7 +77,7 @@ let process_egress t pkt ~emit =
 
 let process_ingress_unprofiled t pkt ~deliver =
   Obs.Metrics.incr t.m_ingress_packets;
-  match run_chain t.processors pkt ~inject:deliver ~select:(fun p -> p.ingress) with
+  match run_ingress t.processors pkt ~inject:deliver with
   | Pass -> deliver pkt
   | Drop ->
     Obs.Metrics.incr t.m_ingress_drops;

@@ -20,6 +20,16 @@ val create :
 val find : 'a t -> Dcpkt.Flow_key.t -> 'a option
 (** Lookup refreshes the entry's last-active time. *)
 
+val find_or : 'a t -> Dcpkt.Flow_key.t -> none:'a -> 'a
+(** [find] without the option: [none] when absent.  The per-packet form,
+    allocation-free; callers pass a sentinel and test it physically. *)
+
+val find_reverse_or : 'a t -> Dcpkt.Flow_key.t -> none:'a -> 'a
+(** The entry whose key is the reverse of the given one — the flow a
+    reply packet answers — or [none].  Entries are indexed by their
+    reversed key at insertion, so the lookup builds no key.  Refreshes the
+    entry's last-active time like [find]. *)
+
 val find_or_create : 'a t -> Dcpkt.Flow_key.t -> make:(unit -> 'a) -> 'a
 
 val mark_closed : 'a t -> Dcpkt.Flow_key.t -> unit

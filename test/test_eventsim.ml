@@ -344,7 +344,9 @@ let test_step () =
    at what clock reading, plus clock/pending checkpoints after every
    [Run_for] — must match exactly.  Same-instant bursts probe FIFO
    tie-breaks, [Far] probes the overflow path, [Cancel_refire] probes
-   cancel-then-rearm, and nested scheduling from inside callbacks probes
+   cancel-then-rearm, [Rearm_nth] re-arms a handle in place (superseding
+   any pending instance, possibly with an earlier due time), and nested
+   scheduling from inside callbacks probes
    scheduling at the current instant. *)
 type script_op =
   | Sched of int (* delay from now *)
@@ -352,6 +354,7 @@ type script_op =
   | Timer_op of int
   | Cancel_nth of int (* cancel the nth timer created so far (mod) *)
   | Cancel_refire of int * int (* cancel nth, schedule a fresh timer *)
+  | Rearm_nth of int * int (* re-arm the nth timer's handle, delay *)
   | Far of int (* delay past the wheel horizon *)
   | Nested of int * int (* outer delay, inner delay scheduled on fire *)
   | Run_for of int
@@ -379,6 +382,8 @@ let interpret backend script =
       | Cancel_refire (n, d) ->
         (match nth_timer n with Some t -> Engine.cancel t | None -> ());
         add_timer (Engine.timer_after engine ~delay:d (fun () -> emit (i, 1)))
+      | Rearm_nth (n, d) -> (
+        match nth_timer n with Some t -> Engine.arm engine t ~delay:d | None -> ())
       | Far d ->
         Engine.schedule_after engine ~delay:(horizon + d) (fun () -> emit (i, 0))
       | Nested (d1, d2) ->
@@ -403,6 +408,7 @@ let script_gen =
            map (fun d -> Timer_op d) (int_bound 10_000);
            map (fun n -> Cancel_nth n) small_nat;
            map (fun (n, d) -> Cancel_refire (n, d)) (pair small_nat (int_bound 10_000));
+           map (fun (n, d) -> Rearm_nth (n, d)) (pair small_nat (int_bound 10_000));
            map (fun d -> Far d) (int_bound 1_000_000);
            map (fun (a, b) -> Nested (a, b)) (pair (int_bound 5_000) (int_bound 100));
            map (fun d -> Run_for d) (int_bound 20_000);
@@ -412,6 +418,96 @@ let prop_engines_identical =
   QCheck.Test.make ~name:"heap and wheel engines fire identically" ~count:1000 script_gen
     (fun script ->
       interpret Engine.Heap script = interpret Engine.Wheel script)
+
+(* ------------------------------------------------------------------ *)
+(* Timer re-arm: one handle, generation-checked instances               *)
+
+let test_superseded_timer_never_fires () =
+  let engine = Engine.create () in
+  let log = ref [] in
+  let tmr = Engine.timer (fun () -> log := Engine.now engine :: !log) in
+  check_bool "a fresh handle is idle" false (Engine.timer_pending tmr);
+  Engine.arm engine tmr ~delay:100;
+  (* Re-arming earlier supersedes the instance due at 100. *)
+  Engine.arm engine tmr ~delay:50;
+  Engine.run ~until:80 engine;
+  Alcotest.(check (list int)) "the earlier re-arm fired" [ 50 ] (List.rev !log);
+  check_bool "spent" false (Engine.timer_pending tmr);
+  (* Re-arming later supersedes the instance due at 90. *)
+  Engine.arm engine tmr ~delay:10;
+  Engine.arm engine tmr ~delay:200;
+  Engine.run engine;
+  Alcotest.(check (list int)) "superseded instances stay silent" [ 50; 280 ] (List.rev !log);
+  (* Cancel, then re-arm: only the new instance fires. *)
+  Engine.arm engine tmr ~delay:10;
+  Engine.cancel tmr;
+  Engine.arm engine tmr ~delay:20;
+  Engine.run engine;
+  Alcotest.(check (list int)) "re-armed after cancel" [ 50; 280; 300 ] (List.rev !log);
+  check_int "every instance was dispatched" 6 (Engine.events_processed engine);
+  check_int "queue drained" 0 (Engine.pending_events engine)
+
+(* ------------------------------------------------------------------ *)
+(* Allocation: steady-state scheduling allocates nothing               *)
+
+(* A static-handler chain: each event schedules its successor through the
+   pooled engine record.  Delays spread over four wheel levels, so pushes,
+   pops and cascades all run. *)
+type churn = { c_engine : Engine.t; mutable left : int; mutable self : (churn, int) Engine.handler }
+
+let churn_step c delay =
+  if c.left > 0 then begin
+    c.left <- c.left - 1;
+    let next = 1 + (delay * 7919 land 0xFFFFF) in
+    Engine.schedule_static_after c.c_engine ~delay:next c.self c next
+  end
+
+let test_static_churn_allocates_nothing () =
+  let engine = Engine.create ~backend:Engine.Wheel () in
+  let c = { c_engine = engine; left = 0; self = Engine.handler (fun _ _ -> ()) } in
+  c.self <- Engine.handler churn_step;
+  let chains = 64 in
+  let churn ops =
+    c.left <- ops;
+    for i = 1 to chains do
+      Engine.schedule_static_after engine ~delay:i c.self c i
+    done;
+    Engine.run engine
+  in
+  (* Warm-up fills the event and cell pools; after it nothing is new. *)
+  churn 50_000;
+  let ops = 200_000 in
+  let fired0 = Engine.events_processed engine in
+  let words0 = Gc.minor_words () in
+  churn ops;
+  let words = Gc.minor_words () -. words0 in
+  let events = Engine.events_processed engine - fired0 in
+  check_int "every op is one push and one pop" (ops + chains) events;
+  let per_op = words /. float_of_int events in
+  check_bool (Printf.sprintf "%.2f minor words per push/pop" per_op) true (per_op < 0.005)
+
+let test_timer_rearm_allocates_nothing () =
+  let engine = Engine.create ~backend:Engine.Wheel () in
+  let fired = ref 0 in
+  let tmr = Engine.timer (fun () -> incr fired) in
+  (* Re-arm continually (every re-arm supersedes a pending instance) and
+     dispatch the queue head whenever 256 instances are waiting. *)
+  let churn n =
+    for i = 1 to n do
+      Engine.arm engine tmr ~delay:(1 + (i * 7919 mod 5_000));
+      if Engine.pending_events engine > 256 then ignore (Engine.step engine)
+    done
+  in
+  churn 10_000;
+  let n = 100_000 in
+  let words0 = Gc.minor_words () in
+  churn n;
+  let per_rearm = (Gc.minor_words () -. words0) /. float_of_int n in
+  check_bool (Printf.sprintf "%.2f minor words per re-arm" per_rearm) true (per_rearm < 0.005);
+  let before = !fired in
+  Engine.run engine;
+  check_bool "draining fires at most the last instance" true (!fired - before <= 1);
+  check_bool "spent" false (Engine.timer_pending tmr)
 
 (* ------------------------------------------------------------------ *)
 (* run ~until boundary (regression: events exactly at the limit fire)  *)
@@ -618,6 +714,12 @@ let () =
           Alcotest.test_case "nested scheduling" `Quick test_engine_nested_scheduling;
           Alcotest.test_case "timer cancel" `Quick test_timer_cancel;
           Alcotest.test_case "timer fires once" `Quick test_timer_fires_once;
+          Alcotest.test_case "superseded timer never fires" `Quick
+            test_superseded_timer_never_fires;
+          Alcotest.test_case "static churn allocates nothing" `Quick
+            test_static_churn_allocates_nothing;
+          Alcotest.test_case "timer re-arm allocates nothing" `Quick
+            test_timer_rearm_allocates_nothing;
           Alcotest.test_case "step" `Quick test_step;
           Alcotest.test_case "until boundary (wheel)" `Quick
             (test_run_until_boundary Engine.Wheel);

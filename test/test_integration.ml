@@ -699,6 +699,62 @@ let test_scheduler_byte_identity () =
   check_bool "trace JSONL identical" true (String.equal th tw);
   check_bool "pcap bytes identical" true (String.equal ph pw)
 
+(* ------------------------------------------------------------------ *)
+(* Datapath allocation ceiling                                         *)
+
+(* Minor words allocated per switch-forwarded packet in the steady state
+   of a seeded AC/DC dumbbell with observability off.  What remains is
+   the packets themselves (a 20-word record per data segment and per ACK,
+   each forwarded by two switches) and the PACK option each ACK carries:
+   11.1 words here.  The ceiling is that figure rounded up; raise it only
+   with a measurement that explains the new allocation. *)
+let words_per_pkt_ceiling = 12.0
+
+let test_datapath_allocation_ceiling () =
+  let attrib = Obs.Runtime.attrib () in
+  let int_was = Dcpkt.Int_meta.enabled () and attrib_was = Obs.Attrib.enabled attrib in
+  let tracer_was = Obs.Runtime.tracer () and pcap_was = Obs.Runtime.pcap () in
+  let prof_was = Obs.Prof.enabled () in
+  Dcpkt.Int_meta.set_enabled false;
+  Obs.Attrib.set_enabled attrib false;
+  Obs.Runtime.set_tracer Obs.Trace.null;
+  Obs.Runtime.set_pcap Obs.Pcap.null;
+  Obs.Prof.set_enabled false;
+  Fun.protect
+    ~finally:(fun () ->
+      Dcpkt.Int_meta.set_enabled int_was;
+      Obs.Attrib.set_enabled attrib attrib_was;
+      Obs.Runtime.set_tracer tracer_was;
+      Obs.Runtime.set_pcap pcap_was;
+      Obs.Prof.set_enabled prof_was)
+  @@ fun () ->
+  let params = Params.with_ecn Params.default in
+  let engine = Engine.create () in
+  let pairs = 4 in
+  let net =
+    Topology.dumbbell engine ~params ~acdc:(Topology.acdc_everywhere params) ~pairs ()
+  in
+  let config = Params.tcp_config params ~cc:Tcp.Cubic.factory ~ecn:false in
+  let rng = Eventsim.Rng.create ~seed:7 in
+  for i = 0 to pairs - 1 do
+    Conn.send_forever
+      (Conn.establish ~src:(Topology.host net i) ~dst:(Topology.host net (pairs + i)) ~config
+         ~at:(Eventsim.Rng.int rng 200_000) ())
+  done;
+  Engine.run ~until:(Time_ns.ms 10) engine;
+  let pkts0 = Topology.total_forwarded net in
+  let words0 = Gc.minor_words () in
+  Engine.run ~until:(Time_ns.ms 40) engine;
+  let words = Gc.minor_words () -. words0 in
+  let pkts = Topology.total_forwarded net - pkts0 in
+  Topology.shutdown net;
+  check_bool "window forwards packets" true (pkts > 10_000);
+  let per_pkt = words /. float_of_int pkts in
+  check_bool
+    (Printf.sprintf "%.2f minor words/pkt <= %.0f" per_pkt words_per_pkt_ceiling)
+    true
+    (per_pkt <= words_per_pkt_ceiling)
+
 let () =
   Alcotest.run "integration"
     [
@@ -738,6 +794,10 @@ let () =
       ( "schedulers",
         [
           Alcotest.test_case "heap/wheel byte identity" `Quick test_scheduler_byte_identity;
+        ] );
+      ( "datapath",
+        [
+          Alcotest.test_case "allocation ceiling" `Quick test_datapath_allocation_ceiling;
         ] );
       ( "topologies",
         [

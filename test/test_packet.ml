@@ -151,12 +151,16 @@ let test_option_accessors () =
   Alcotest.(check (option (pair int int))) "no pack" None (Packet.pack_info pkt);
   Packet.set_option pkt (Packet.Pack { total_bytes = 100; marked_bytes = 40 });
   Alcotest.(check (option (pair int int))) "pack" (Some (100, 40)) (Packet.pack_info pkt);
+  check_int "pack_total" 100 (Packet.pack_total pkt);
+  check_int "pack_marked" 40 (Packet.pack_marked pkt);
   (* set_option replaces same-constructor options rather than stacking. *)
   Packet.set_option pkt (Packet.Pack { total_bytes = 200; marked_bytes = 50 });
   Alcotest.(check (option (pair int int))) "pack replaced" (Some (200, 50)) (Packet.pack_info pkt);
   check_int "still one pack + one wscale" 2 (List.length pkt.Packet.options);
   Packet.remove_pack pkt;
   Alcotest.(check (option (pair int int))) "pack removed" None (Packet.pack_info pkt);
+  check_int "pack_total without PACK" (-1) (Packet.pack_total pkt);
+  check_int "pack_marked without PACK" (-1) (Packet.pack_marked pkt);
   Alcotest.(check (option int)) "wscale survives" (Some 7) (Packet.wscale pkt)
 
 let test_sack_accessor () =
@@ -164,6 +168,26 @@ let test_sack_accessor () =
   Alcotest.(check (list (pair int int))) "no sack" [] (Packet.sack_blocks pkt);
   Packet.set_option pkt (Packet.Sack [ (10, 20) ]);
   Alcotest.(check (list (pair int int))) "sack" [ (10, 20) ] (Packet.sack_blocks pkt)
+
+(* The serializing queue completes the open INT hop in place, so a wire
+   duplicate must own its open hop: completing one frame's hop leaves the
+   other's open.  Completed hops are shared. *)
+let test_copy_owns_open_hop () =
+  let hop ~hop_id =
+    { Dcpkt.Int_meta.hop_id; port = 0; ingress_ns = 10; egress_ns = 0; qbytes = 0; svc_bps = 0 }
+  in
+  let pkt = Packet.make ~key ~payload:100 () in
+  Packet.add_int_hop pkt (hop ~hop_id:1);
+  Packet.complete_int_hop pkt ~egress_ns:20;
+  Packet.add_int_hop pkt (hop ~hop_id:2);
+  let dup = Packet.copy pkt in
+  Packet.complete_int_hop dup ~egress_ns:50;
+  let egress p = Array.map (fun h -> h.Dcpkt.Int_meta.egress_ns) (Packet.int_hops p) in
+  Alcotest.(check (array int)) "original's hop still open" [| 20; 0 |] (egress pkt);
+  Alcotest.(check (array int)) "duplicate's hop completed" [| 20; 50 |] (egress dup);
+  Packet.complete_int_hop pkt ~egress_ns:70;
+  Alcotest.(check (array int)) "and completes on its own" [| 20; 70 |] (egress pkt);
+  Alcotest.(check (array int)) "without touching the duplicate" [| 20; 50 |] (egress dup)
 
 let test_ids_unique () =
   Packet.reset_ids ();
@@ -192,6 +216,7 @@ let () =
           Alcotest.test_case "option accessors" `Quick test_option_accessors;
           Alcotest.test_case "sack accessor" `Quick test_sack_accessor;
           Alcotest.test_case "unique ids" `Quick test_ids_unique;
+          Alcotest.test_case "copy owns its open INT hop" `Quick test_copy_owns_open_hop;
         ] );
       ("properties", qtests);
     ]

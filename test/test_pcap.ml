@@ -170,6 +170,64 @@ let test_read_rejects_garbage () =
     (fun s -> check_bool "rejected" true (Result.is_error (Pcap.read s)))
     [ ""; "xx"; String.make 64 '\000'; "\x4d\x3c\xb2\xa1" (* truncated header *) ]
 
+(* A hand-built pcapng: section header, one interface block whose
+   if_tsresol option is [tsresol], one 4-byte packet at tick 5. *)
+let pcapng_with_tsresol tsresol =
+  let block btype body =
+    let b = Buffer.create 64 in
+    let total = 12 + String.length body in
+    Buffer.add_int32_le b (Int32.of_int btype);
+    Buffer.add_int32_le b (Int32.of_int total);
+    Buffer.add_string b body;
+    Buffer.add_int32_le b (Int32.of_int total);
+    Buffer.contents b
+  in
+  let body f =
+    let b = Buffer.create 32 in
+    f b;
+    Buffer.contents b
+  in
+  let shb =
+    body (fun b ->
+        Buffer.add_int32_le b 0x1A2B3C4Dl;
+        Buffer.add_uint16_le b 1;
+        Buffer.add_uint16_le b 0;
+        Buffer.add_int64_le b (-1L))
+  in
+  let idb =
+    body (fun b ->
+        Buffer.add_uint16_le b 1 (* Ethernet *);
+        Buffer.add_uint16_le b 0;
+        Buffer.add_int32_le b 65535l;
+        Buffer.add_uint16_le b 9 (* if_tsresol *);
+        Buffer.add_uint16_le b 1;
+        Buffer.add_uint8 b tsresol;
+        Buffer.add_string b "\000\000\000";
+        Buffer.add_int32_le b 0l (* opt_endofopt *))
+  in
+  let epb =
+    body (fun b ->
+        List.iter (Buffer.add_int32_le b) [ 0l; 0l; 5l; 4l; 4l ];
+        Buffer.add_string b "abcd")
+  in
+  block 0x0A0D0D0A shb ^ block 1 idb ^ block 6 epb
+
+let test_read_rejects_tsresol () =
+  (* 10^6 ticks per second: tick 5 is 5000 ns. *)
+  (match Pcap.read (pcapng_with_tsresol 6) with
+  | Ok [ f ] -> check_int "microsecond ticks" 5000 f.Pcap.ts
+  | Ok _ -> Alcotest.fail "expected one frame"
+  | Error e -> Alcotest.fail e);
+  (* A resolution whose tick-to-ns divisor does not fit an int (at 72 it
+     wraps to 0) is an error, not an exception. *)
+  List.iter
+    (fun r ->
+      check_bool
+        (Printf.sprintf "tsresol %d rejected" r)
+        true
+        (Result.is_error (Pcap.read (pcapng_with_tsresol r))))
+    [ 28; 72; 127 ]
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end: a seeded AC/DC run captures a byte-identical, fully
    re-readable pcap through the ambient taps.                          *)
@@ -246,6 +304,7 @@ let () =
           Alcotest.test_case "classic pcap" `Quick test_pcap_classic;
           Alcotest.test_case "pcapng interfaces" `Quick test_pcapng;
           Alcotest.test_case "garbage rejected" `Quick test_read_rejects_garbage;
+          Alcotest.test_case "out-of-range tsresol rejected" `Quick test_read_rejects_tsresol;
         ] );
       ( "run",
         [
