@@ -21,11 +21,7 @@
              dune exec bench/main.exe -- cpu     (microbenchmarks only)
              dune exec bench/main.exe -- fig8    (one experiment)
              dune exec bench/main.exe -- smoke   (fast CI smoke run)
-             dune exec bench/main.exe -- smoke -o out.json
-             dune exec bench/main.exe -- smoke --sched heap
-               (pick the event-queue backend — "heap" or "wheel" (default);
-                equivalent to setting ACDC_SCHED; the seeded artifacts are
-                byte-identical either way, only the wall clock differs) *)
+             dune exec bench/main.exe -- smoke -o out.json *)
 
 module Engine = Eventsim.Engine
 module Packet = Dcpkt.Packet
@@ -163,18 +159,17 @@ let profiler_tests () =
              Obs.Prof.on := false));
     ]
 
-(* Satellite microbenchmark: steady-state event-queue churn, one row per
-   scheduler backend.  Each op schedules one future event and fires one —
-   the queue holds ~4096 pending events throughout, and the delays cycle
-   through a fixed pattern spanning every wheel level (100 ns .. 10 ms),
-   so heap rows pay the O(log n) sift and wheel rows the amortized O(1)
-   slot insert + cascade.  The heap/wheel ratio is the smoke report's
-   [sched_speedup] scalar. *)
+(* Steady-state event-queue churn.  Each op schedules one future event and
+   fires one — the queue holds a fixed number of pending events
+   throughout, and the delays cycle through a fixed pattern spanning every
+   wheel level (100 ns .. 10 ms), so each op pays the amortized O(1) slot
+   insert + cascade.  The 4096-pending row is the smoke report's
+   [sched_wheel_ns_per_op] scalar. *)
 let scheduler_tests () =
   let open Bechamel in
   let nop_h : (unit, unit) Engine.handler = Engine.handler (fun () () -> ()) in
-  let make_churn backend ~pending =
-    let engine = Engine.create ~backend () in
+  let make_churn ~pending =
+    let engine = Engine.create () in
     let delays =
       let st = Random.State.make [| 0xACDC |] in
       Array.init 1024 (fun _ ->
@@ -190,21 +185,11 @@ let scheduler_tests () =
         Engine.schedule_static_after engine ~delay:d nop_h () ();
         ignore (Engine.step engine))
   in
-  let row backend pending =
-    Test.make
-      ~name:(Printf.sprintf "%s/churn-%05d" (Engine.backend_name backend) pending)
-      (make_churn backend ~pending)
+  let row pending =
+    Test.make ~name:(Printf.sprintf "wheel/churn-%05d" pending) (make_churn ~pending)
   in
-  (* 4096 pending ~ a busy dumbbell; 65536 ~ the 1000-host fabrics of
-     ROADMAP items 2-4.  The heap row degrades with depth (log n sift over
-     a cache-hostile array); the wheel rows stay flat. *)
-  Test.make_grouped ~name:"scheduler"
-    [
-      row Engine.Heap 4096;
-      row Engine.Wheel 4096;
-      row Engine.Heap 65536;
-      row Engine.Wheel 65536;
-    ]
+  (* 4096 pending ~ a busy dumbbell; 65536 ~ a 1000-host fabric. *)
+  Test.make_grouped ~name:"scheduler" [ row 4096; row 65536 ]
 
 let cpu_rows = ref []
 
@@ -243,14 +228,6 @@ let run_cpu_bench ?(quota = 0.5) () =
       "  profiler: disabled %6.0f ns/op, enabled %6.0f ns/op (spans add %.0f ns, +%.1f%%)@." off
       on (on -. off)
       (100.0 *. (on -. off) /. Float.max 1.0 off)
-  | _ -> ());
-  (match
-     ( List.assoc_opt "scheduler/heap/churn-04096" rows,
-       List.assoc_opt "scheduler/wheel/churn-04096" rows )
-   with
-  | Some h, Some w when w > 0.0 ->
-    Format.printf "  scheduler: heap %6.0f ns/op, wheel %6.0f ns/op (wheel %.2fx faster)@." h w
-      (h /. w)
   | _ -> ());
   let find side scheme flows =
     List.assoc_opt (Printf.sprintf "datapath/%s/%s/%05d-flows" side scheme flows) rows
@@ -383,7 +360,9 @@ let ablation_window_floor () =
 
 let report_out = ref "REPORT.json"
 
-let smoke () =
+(* The simulation half of the smoke run.  Returns its report unwritten:
+   [smoke] folds in the churn row the microbench measures afterwards. *)
+let smoke_sim () =
   Format.printf "@.=== smoke: 5-pair AC/DC dumbbell, 100 ms ===@.";
   let scheme = Experiments.Harness.acdc () in
   let pairs = 5 in
@@ -459,23 +438,31 @@ let smoke () =
   Obs.Runtime.close_profile ();
   Dcpkt.Int_meta.set_enabled false;
   Obs.Attrib.set_enabled (Obs.Runtime.attrib ()) false;
+  report
+
+(* One BENCH.json sidecar: wall time, events and the metric snapshot of
+   [f] alone. *)
+let timed id f =
+  let wall_s, events = Experiments.Harness.timed_run f in
+  Experiments.Harness.run_sidecar ~id ~wall_s ~events
+
+(* The sidecar is taken over the simulation only, so its events/sec and
+   metric snapshot match the report; the CPU microbench runs after it.
+   The report is written only then so it can fold in the wheel churn row,
+   which the report_diff gate watches.  [set_metrics]/[add_*] snapshotted
+   at call time, so the deterministic sections are unaffected by the
+   bench running after. *)
+let smoke () =
+  let report = ref None in
+  let sidecar = timed "smoke" (fun () -> report := Some (smoke_sim ())) in
   run_cpu_bench ~quota:0.05 ();
-  (* The report is written only now so it can fold in the scheduler churn
-     rows: [sched_speedup] (heap ns/op over wheel ns/op) is what the
-     report_diff gate watches so the timing-wheel gain cannot silently
-     erode.  [set_metrics]/[add_*] above snapshotted at call time, so the
-     deterministic sections are unaffected by the bench running after. *)
-  (match
-     ( List.assoc_opt "scheduler/heap/churn-04096" !cpu_rows,
-       List.assoc_opt "scheduler/wheel/churn-04096" !cpu_rows )
-   with
-  | Some heap_ns, Some wheel_ns when wheel_ns > 0.0 ->
-    Obs.Report.add_scalar report "sched_heap_ns_per_op" heap_ns;
-    Obs.Report.add_scalar report "sched_wheel_ns_per_op" wheel_ns;
-    Obs.Report.add_scalar report "sched_speedup" (heap_ns /. wheel_ns)
-  | _ -> ());
+  let report = Option.get !report in
+  Option.iter
+    (Obs.Report.add_scalar report "sched_wheel_ns_per_op")
+    (List.assoc_opt "scheduler/wheel/churn-04096" !cpu_rows);
   Obs.Report.write report ~path:!report_out;
-  Format.printf "  wrote %s@." !report_out
+  Format.printf "  wrote %s@." !report_out;
+  sidecar
 
 (* ------------------------------------------------------------------ *)
 
@@ -490,11 +477,11 @@ let registry_bench id =
 let all_ids = Experiments.Registry.ids () @ [ "cpu"; "ablation-fack"; "ablation-floor" ]
 
 let run_one = function
-  | "cpu" -> run_cpu_bench ()
   | "smoke" -> smoke ()
-  | "ablation-fack" -> ablation_fack ()
-  | "ablation-floor" -> ablation_window_floor ()
-  | id -> registry_bench id
+  | "cpu" -> timed "cpu" (fun () -> run_cpu_bench ())
+  | "ablation-fack" -> timed "ablation-fack" ablation_fack
+  | "ablation-floor" -> timed "ablation-floor" ablation_window_floor
+  | id -> timed id (fun () -> registry_bench id)
 
 (* BENCH.json: one sidecar object per scenario (wall time, simulator
    events/sec, metric snapshot) plus the microbenchmark rows, so tooling
@@ -503,7 +490,7 @@ let bench_json ~scenarios =
   Obs.Json.Obj
     [
       ("schema", Obs.Json.String "acdc-bench/1");
-      ("scenarios", Obs.Json.List (List.rev scenarios));
+      ("scenarios", Obs.Json.List scenarios);
       ( "cpu",
         Obs.Json.List
           (List.map
@@ -519,13 +506,6 @@ let () =
     | "-o" :: path :: rest -> parse ids (Some path) rest
     | "--report" :: path :: rest ->
       report_out := path;
-      parse ids out rest
-    | "--sched" :: name :: rest ->
-      (match Engine.backend_of_string name with
-      | Some b -> Engine.set_default_backend b
-      | None ->
-        Format.eprintf "--sched %s: expected \"heap\" or \"wheel\"@." name;
-        exit 2);
       parse ids out rest
     | "--trace" :: path :: rest ->
       Obs.Runtime.trace_to_file path;
@@ -548,13 +528,7 @@ let () =
   let ids = match ids with [] | [ "all" ] -> all_ids | ids -> ids in
   let out = Option.value out ~default:"BENCH.json" in
   Format.printf "AC/DC TCP evaluation: every table and figure of He et al., SIGCOMM 2016@.";
-  let scenarios =
-    List.fold_left
-      (fun acc id ->
-        let wall_s, events = Experiments.Harness.timed_run (fun () -> run_one id) in
-        Experiments.Harness.run_sidecar ~id ~wall_s ~events :: acc)
-      [] ids
-  in
+  let scenarios = List.map run_one ids in
   Experiments.Harness.write_json ~path:out (bench_json ~scenarios);
   Obs.Runtime.close_trace ();
   Obs.Runtime.close_pcap ();

@@ -1,7 +1,8 @@
-(* Engine = virtual clock + event queue + a pool of flat event records.
+(* Engine = virtual clock + timing-wheel event queue + a pool of flat
+   event records.
 
    Events are mutable records recycled through a per-engine free list: the
-   queue backends hand back the record itself (never a [Some]/tuple), its
+   wheel hands back the record itself (never a [Some]/tuple), its
    [at] field carries the timestamp, and dispatch reads the payload into
    locals and returns the record to the pool *before* invoking the
    callback — so the callback's own scheduling reuses it immediately.  A
@@ -16,27 +17,6 @@
    handlers ([schedule_static]: a pre-registered code pointer plus two
    universally-typed argument slots — the zero-allocation path for txq
    tx-complete, link delivery and friends). *)
-
-type backend = Heap | Wheel
-
-let backend_of_string = function
-  | "heap" -> Some Heap
-  | "wheel" -> Some Wheel
-  | _ -> None
-
-let backend_name = function Heap -> "heap" | Wheel -> "wheel"
-
-let ambient_backend =
-  ref
-    (match Sys.getenv_opt "ACDC_SCHED" with
-    | None | Some "" -> Wheel
-    | Some s -> (
-      match backend_of_string (String.lowercase_ascii s) with
-      | Some b -> b
-      | None -> invalid_arg (Printf.sprintf "ACDC_SCHED=%S: expected \"wheel\" or \"heap\"" s)))
-
-let default_backend () = !ambient_backend
-let set_default_backend b = ambient_backend := b
 
 type timer = { mutable live : bool; mutable gen : int; action : unit -> unit }
 
@@ -70,11 +50,9 @@ let rec nil_event =
     free_next = nil_event;
   }
 
-type queue = Qh of event Event_heap.t | Qw of event Timing_wheel.t
-
 type t = {
   mutable clock : Time_ns.t;
-  queue : queue;
+  queue : event Timing_wheel.t;
   mutable fired : int;
   mutable free : event;
   mutable free_count : int;
@@ -85,16 +63,9 @@ type t = {
    bench's events/sec figure, which spans many short-lived engines. *)
 let all_fired = ref 0
 
-let create ?backend () =
-  let backend = match backend with Some b -> b | None -> !ambient_backend in
-  let queue =
-    match backend with
-    | Heap -> Qh (Event_heap.create ())
-    | Wheel -> Qw (Timing_wheel.create ())
-  in
+let create () =
+  let queue = Timing_wheel.create () in
   { clock = Time_ns.zero; queue; fired = 0; free = nil_event; free_count = 0; records = 0 }
-
-let backend t = match t.queue with Qh _ -> Heap | Qw _ -> Wheel
 
 let now t = t.clock
 
@@ -140,9 +111,7 @@ let recycle t ev =
 
 let push t ~at ev =
   ev.at <- at;
-  match t.queue with
-  | Qh q -> Event_heap.push q ~time:at ev
-  | Qw q -> Timing_wheel.push q ~time:at ev
+  Timing_wheel.push t.queue ~time:at ev
 
 let check_future t at =
   if at < t.clock then
@@ -244,11 +213,7 @@ let dispatch t ev =
   else fire t ev
 
 let step t =
-  let ev =
-    match t.queue with
-    | Qh q -> Event_heap.pop_or q ~none:nil_event
-    | Qw q -> Timing_wheel.pop_or q ~none:nil_event
-  in
+  let ev = Timing_wheel.pop_or t.queue ~none:nil_event in
   if ev == nil_event then false
   else begin
     dispatch t ev;
@@ -264,11 +229,7 @@ let run ?until t =
        at [limit] exactly, whether or not the queue drained early. *)
     let continue = ref true in
     while !continue do
-      let ev =
-        match t.queue with
-        | Qh q -> Event_heap.pop_until_or q ~limit ~none:nil_event
-        | Qw q -> Timing_wheel.pop_until_or q ~limit ~none:nil_event
-      in
+      let ev = Timing_wheel.pop_until_or t.queue ~limit ~none:nil_event in
       if ev == nil_event then begin
         t.clock <- Time_ns.max t.clock limit;
         continue := false
@@ -276,8 +237,7 @@ let run ?until t =
       else dispatch t ev
     done
 
-let pending_events t =
-  match t.queue with Qh q -> Event_heap.length q | Qw q -> Timing_wheel.length q
+let pending_events t = Timing_wheel.length t.queue
 
 let free_events t = t.free_count
 

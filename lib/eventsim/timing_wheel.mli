@@ -1,20 +1,20 @@
 (** Hierarchical timing wheel: the simulator's event queue.
 
-    Replaces the binary min-heap on the hot path.  Seven fixed-slot wheels
-    of 32 slots each cover a horizon of [32^7] ns (~34 virtual seconds);
+    Seven fixed-slot wheels of 32 slots each cover a horizon of [32^7] ns
+    (~34 virtual seconds);
     wheel [l] has slot width [32^l] ns, so the innermost wheel resolves
     single nanoseconds and each outer wheel is 32x coarser.  Events beyond
     the horizon sit in an unsorted overflow list and are migrated into the
     wheels once the clock catches up.  Per-level occupancy bitmaps make
     "next nonempty slot" a count-trailing-zeros, so push and pop are O(1)
-    amortized regardless of population — the binary heap's O(log n)
-    compares (and its per-push entry allocation) are gone.
+    amortized regardless of population, where a binary heap pays O(log n)
+    compares and an entry allocation per push.
 
-    Determinism contract, identical to {!Event_heap}: extraction order is
-    time first, then insertion sequence (FIFO within an instant).  The
-    equivalence is enforced by the differential harness in
-    [test/test_eventsim.ml], which drives both structures with identical
-    randomized scripts.
+    Determinism contract, identical to a binary min-heap ordered by
+    (time, insertion sequence): extraction order is time first, then
+    insertion sequence (FIFO within an instant).  The differential harness
+    in [test/test_eventsim.ml] drives the wheel and a reference heap with
+    identical randomized scripts.
 
     Cells are pooled: popping returns a cell to an internal free list and
     pushing reuses it, so a steady-state simulation allocates nothing per

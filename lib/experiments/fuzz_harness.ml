@@ -351,55 +351,6 @@ let report_of_outcomes ?(id = "fuzz") outcomes =
   Obs.Report.set_metrics report (Obs.Runtime.metrics ());
   report
 
-(* ------------------------------------------------------------------ *)
-(* Cross-scheduler identity                                            *)
-
-type backend_divergence = { div_seed : int; div_artifact : string }
-
-(* The determinism contract in [Engine] promises that the heap and wheel
-   backends dispatch the same events in the same order — so a seeded
-   scenario must leave bit-for-bit identical observable state behind under
-   either.  This runs each seed once per backend and compares every
-   rendered artifact: the outcome record (completions, violations,
-   retransmission counts, finish times), the full metrics registry, the
-   trace JSONL stream, and the pcap bytes. *)
-let scheduler_identity ?(trace = true) ?(pcap = true) ~seeds () =
-  let capture backend seed =
-    let saved_backend = Engine.default_backend () in
-    let saved_tracer = Obs.Runtime.tracer () in
-    let saved_pcap = Obs.Runtime.pcap () in
-    Engine.set_default_backend backend;
-    let trace_buf = Buffer.create 4096 and pcap_buf = Buffer.create 4096 in
-    if trace then Obs.Runtime.set_tracer (Obs.Trace.jsonl ~write:(Buffer.add_string trace_buf));
-    if pcap then
-      Obs.Runtime.set_pcap
-        (Obs.Pcap.create ~format:Obs.Pcap.Pcapng ~write:(Buffer.add_string pcap_buf));
-    Fun.protect
-      ~finally:(fun () ->
-        Engine.set_default_backend saved_backend;
-        Obs.Runtime.set_tracer saved_tracer;
-        Obs.Runtime.set_pcap saved_pcap)
-      (fun () ->
-        let o = run_seed seed in
-        let outcome = Json.to_string (outcome_json o) in
-        let metrics = Json.to_string (Obs.Metrics.to_json (Obs.Runtime.metrics ())) in
-        (outcome, metrics, Buffer.contents trace_buf, Buffer.contents pcap_buf))
-  in
-  List.filter_map
-    (fun seed ->
-      let oh, mh, th, ph = capture Engine.Heap seed in
-      let ow, mw, tw, pw = capture Engine.Wheel seed in
-      (* Guard against vacuous identity: an enabled sink that captured
-         nothing means the scenario never exercised it. *)
-      if trace && th = "" then Some { div_seed = seed; div_artifact = "trace-empty" }
-      else if pcap && ph = "" then Some { div_seed = seed; div_artifact = "pcap-empty" }
-      else if oh <> ow then Some { div_seed = seed; div_artifact = "outcome" }
-      else if mh <> mw then Some { div_seed = seed; div_artifact = "metrics" }
-      else if th <> tw then Some { div_seed = seed; div_artifact = "trace" }
-      else if ph <> pw then Some { div_seed = seed; div_artifact = "pcap" }
-      else None)
-    seeds
-
 let print_outcome o =
   let s = o.scenario in
   Format.printf "  seed %-6d %-15s %-10s %s%s  %d/%d msgs" s.seed (topo_label s.topo)

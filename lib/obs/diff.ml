@@ -29,13 +29,8 @@ let default_rules =
     { key = "ns_per_event"; tol = 0.35; dir = Higher_is_worse };
     { key = "ns_per_packet"; tol = 0.35; dir = Higher_is_worse };
     { key = "minor_words_per_packet"; tol = 0.10; dir = Higher_is_worse };
-    (* Scheduler churn rows from the bench smoke run: the wheel-over-heap
-       speedup regresses when it *falls*; the heap row exists only as the
-       ratio's denominator (it is the differential-testing oracle, not a
-       backend anyone runs), so it is never compared on its own. *)
-    { key = "sched_speedup"; tol = 0.35; dir = Lower_is_worse };
+    (* Event-queue churn row from the bench smoke run. *)
     { key = "sched_wheel_ns_per_op"; tol = 0.60; dir = Higher_is_worse };
-    { key = "sched_heap_ns_per_op"; tol = 0.0; dir = Ignore };
   ]
 
 type severity = Regression | Warning | Info

@@ -1,3 +1,5 @@
+module Time_ns = Eventsim.Time_ns
+
 type 'a entry = { time : Time_ns.t; seq : int; value : 'a }
 
 type 'a t = {
@@ -7,7 +9,7 @@ type 'a t = {
 }
 
 (* [entries] is lazily grown on first push; index 0 is the root. *)
-let create ?capacity:_ () = { entries = [||]; size = 0; next_seq = 0 }
+let create () = { entries = [||]; size = 0; next_seq = 0 }
 
 let is_empty h = h.size = 0
 let length h = h.size
@@ -43,7 +45,7 @@ let rec sift_down h i =
     sift_down h !smallest
   end
 
-let push_unprofiled h ~time value =
+let push h ~time value =
   let entry = { time; seq = h.next_seq; value } in
   h.next_seq <- h.next_seq + 1;
   if h.size = Array.length h.entries then grow h entry;
@@ -51,18 +53,9 @@ let push_unprofiled h ~time value =
   h.size <- h.size + 1;
   sift_up h (h.size - 1)
 
-let push h ~time value =
-  if !Profcore.on then begin
-    let tok = Profcore.enter Profcore.Site.heap_push in
-    push_unprofiled h ~time value;
-    Profcore.note_heap_depth h.size;
-    Profcore.leave tok
-  end
-  else push_unprofiled h ~time value
-
 let peek_time h = if h.size = 0 then None else Some h.entries.(0).time
 
-let pop_unprofiled h =
+let pop h =
   if h.size = 0 then None
   else begin
     let root = h.entries.(0) in
@@ -74,43 +67,7 @@ let pop_unprofiled h =
     Some (root.time, root.value)
   end
 
-let pop h =
-  if !Profcore.on then begin
-    let tok = Profcore.enter Profcore.Site.heap_pop in
-    let r = pop_unprofiled h in
-    Profcore.leave tok;
-    r
-  end
-  else pop_unprofiled h
-
 let pop_until h ~limit =
   if h.size > 0 && h.entries.(0).time <= limit then pop h else None
-
-(* Allocation-free extraction (no [Some]/tuple per pop), mirroring
-   {!Timing_wheel.pop_or}: the engine recovers the timestamp from its own
-   pooled event record. *)
-let pop_or_unprofiled h ~none =
-  if h.size = 0 then none
-  else begin
-    let root = h.entries.(0) in
-    h.size <- h.size - 1;
-    if h.size > 0 then begin
-      h.entries.(0) <- h.entries.(h.size);
-      sift_down h 0
-    end;
-    root.value
-  end
-
-let pop_or h ~none =
-  if !Profcore.on then begin
-    let tok = Profcore.enter Profcore.Site.heap_pop in
-    let r = pop_or_unprofiled h ~none in
-    Profcore.leave tok;
-    r
-  end
-  else pop_or_unprofiled h ~none
-
-let pop_until_or h ~limit ~none =
-  if h.size > 0 && h.entries.(0).time <= limit then pop_or h ~none else none
 
 let clear h = h.size <- 0

@@ -1,6 +1,5 @@
 module Engine = Eventsim.Engine
 module Time_ns = Eventsim.Time_ns
-module Event_heap = Eventsim.Event_heap
 module Timing_wheel = Eventsim.Timing_wheel
 module Rng = Eventsim.Rng
 
@@ -337,17 +336,86 @@ let test_step () =
   check_bool "exhausted" false (Engine.step engine)
 
 (* ------------------------------------------------------------------ *)
-(* Differential engine harness: heap vs wheel                          *)
+(* Differential engine harness: engine vs reference engine             *)
 
-(* A script is interpreted identically against a heap-backed and a
-   wheel-backed engine; the trace of observable effects — which ops fired,
-   at what clock reading, plus clock/pending checkpoints after every
-   [Run_for] — must match exactly.  Same-instant bursts probe FIFO
-   tie-breaks, [Far] probes the overflow path, [Cancel_refire] probes
+(* The reference engine states the determinism contract in the most
+   obvious way: a binary heap of closures ordered by (time, insertion
+   sequence).  A timer handle points at its current instance's liveness
+   flag; arming or cancelling clears that flag, so a superseded or
+   cancelled instance stays queued and counted but does nothing when it
+   comes due. *)
+module Ref_engine = struct
+  type t = {
+    mutable clock : Time_ns.t;
+    queue : (unit -> unit) Event_heap.t;
+    mutable fired : int;
+  }
+
+  type timer = { mutable instance : bool ref; action : unit -> unit }
+
+  let create () = { clock = 0; queue = Event_heap.create (); fired = 0 }
+  let now t = t.clock
+  let schedule_after t ~delay f = Event_heap.push t.queue ~time:(t.clock + delay) f
+
+  let arm t tmr ~delay =
+    tmr.instance := false;
+    let live = ref true in
+    tmr.instance <- live;
+    schedule_after t ~delay (fun () ->
+        if !live then begin
+          live := false;
+          tmr.action ()
+        end)
+
+  let timer_after t ~delay action =
+    let tmr = { instance = ref false; action } in
+    arm t tmr ~delay;
+    tmr
+
+  let cancel tmr = tmr.instance := false
+
+  let rec run ?until t =
+    let next =
+      match until with
+      | None -> Event_heap.pop t.queue
+      | Some limit -> Event_heap.pop_until t.queue ~limit
+    in
+    match next with
+    | Some (time, f) ->
+      t.clock <- time;
+      t.fired <- t.fired + 1;
+      f ();
+      run ?until t
+    | None -> Option.iter (fun limit -> t.clock <- max t.clock limit) until
+
+  let pending_events t = Event_heap.length t.queue
+  let events_processed t = t.fired
+end
+
+module type ENGINE = sig
+  type t
+  type timer
+
+  val create : unit -> t
+  val now : t -> Time_ns.t
+  val schedule_after : t -> delay:Time_ns.t -> (unit -> unit) -> unit
+  val arm : t -> timer -> delay:Time_ns.t -> unit
+  val timer_after : t -> delay:Time_ns.t -> (unit -> unit) -> timer
+  val cancel : timer -> unit
+  val run : ?until:Time_ns.t -> t -> unit
+  val pending_events : t -> int
+  val events_processed : t -> int
+end
+
+(* A script is interpreted identically against the engine and the
+   reference; the trace of observable effects — which ops fired, at what
+   clock reading, plus clock/pending checkpoints after every [Run_for] —
+   must match exactly.  Same-instant bursts probe FIFO tie-breaks, [Far]
+   probes the wheel's overflow path, [Cancel_refire] probes
    cancel-then-rearm, [Rearm_nth] re-arms a handle in place (superseding
    any pending instance, possibly with an earlier due time), and nested
-   scheduling from inside callbacks probes
-   scheduling at the current instant. *)
+   scheduling from inside callbacks probes scheduling at the current
+   instant. *)
 type script_op =
   | Sched of int (* delay from now *)
   | Burst of int * int (* delay, count: same-instant FIFO probe *)
@@ -359,10 +427,10 @@ type script_op =
   | Nested of int * int (* outer delay, inner delay scheduled on fire *)
   | Run_for of int
 
-let interpret backend script =
-  let engine = Engine.create ~backend () in
+let interpret (module E : ENGINE) script =
+  let engine = E.create () in
   let log = ref [] in
-  let emit tag = log := (tag, Engine.now engine) :: !log in
+  let emit tag = log := (tag, E.now engine) :: !log in
   let timers = ref [||] in
   let add_timer tmr = timers := Array.append !timers [| tmr |] in
   let nth_timer n =
@@ -371,31 +439,29 @@ let interpret backend script =
   List.iteri
     (fun i op ->
       match op with
-      | Sched d -> Engine.schedule_after engine ~delay:d (fun () -> emit (i, 0))
+      | Sched d -> E.schedule_after engine ~delay:d (fun () -> emit (i, 0))
       | Burst (d, n) ->
         for j = 0 to (n - 1) land 7 do
-          Engine.schedule_after engine ~delay:d (fun () -> emit (i, j))
+          E.schedule_after engine ~delay:d (fun () -> emit (i, j))
         done
-      | Timer_op d -> add_timer (Engine.timer_after engine ~delay:d (fun () -> emit (i, 0)))
-      | Cancel_nth n -> (
-        match nth_timer n with Some t -> Engine.cancel t | None -> ())
+      | Timer_op d -> add_timer (E.timer_after engine ~delay:d (fun () -> emit (i, 0)))
+      | Cancel_nth n -> ( match nth_timer n with Some t -> E.cancel t | None -> ())
       | Cancel_refire (n, d) ->
-        (match nth_timer n with Some t -> Engine.cancel t | None -> ());
-        add_timer (Engine.timer_after engine ~delay:d (fun () -> emit (i, 1)))
+        (match nth_timer n with Some t -> E.cancel t | None -> ());
+        add_timer (E.timer_after engine ~delay:d (fun () -> emit (i, 1)))
       | Rearm_nth (n, d) -> (
-        match nth_timer n with Some t -> Engine.arm engine t ~delay:d | None -> ())
-      | Far d ->
-        Engine.schedule_after engine ~delay:(horizon + d) (fun () -> emit (i, 0))
+        match nth_timer n with Some t -> E.arm engine t ~delay:d | None -> ())
+      | Far d -> E.schedule_after engine ~delay:(horizon + d) (fun () -> emit (i, 0))
       | Nested (d1, d2) ->
-        Engine.schedule_after engine ~delay:d1 (fun () ->
+        E.schedule_after engine ~delay:d1 (fun () ->
             emit (i, 0);
-            Engine.schedule_after engine ~delay:d2 (fun () -> emit (i, 1)))
+            E.schedule_after engine ~delay:d2 (fun () -> emit (i, 1)))
       | Run_for d ->
-        Engine.run ~until:(Time_ns.add (Engine.now engine) d) engine;
-        emit (-1 - i, Engine.pending_events engine))
+        E.run ~until:(Time_ns.add (E.now engine) d) engine;
+        emit (-1 - i, E.pending_events engine))
     script;
-  Engine.run engine;
-  (List.rev !log, Engine.now engine, Engine.events_processed engine)
+  E.run engine;
+  (List.rev !log, E.now engine, E.events_processed engine)
 
 let script_gen =
   QCheck.(
@@ -414,10 +480,10 @@ let script_gen =
            map (fun d -> Run_for d) (int_bound 20_000);
          ]))
 
-let prop_engines_identical =
-  QCheck.Test.make ~name:"heap and wheel engines fire identically" ~count:1000 script_gen
+let prop_engine_matches_reference =
+  QCheck.Test.make ~name:"engine matches reference engine" ~count:1000 script_gen
     (fun script ->
-      interpret Engine.Heap script = interpret Engine.Wheel script)
+      interpret (module Engine) script = interpret (module Ref_engine) script)
 
 (* ------------------------------------------------------------------ *)
 (* Timer re-arm: one handle, generation-checked instances               *)
@@ -463,7 +529,7 @@ let churn_step c delay =
   end
 
 let test_static_churn_allocates_nothing () =
-  let engine = Engine.create ~backend:Engine.Wheel () in
+  let engine = Engine.create () in
   let c = { c_engine = engine; left = 0; self = Engine.handler (fun _ _ -> ()) } in
   c.self <- Engine.handler churn_step;
   let chains = 64 in
@@ -487,7 +553,7 @@ let test_static_churn_allocates_nothing () =
   check_bool (Printf.sprintf "%.2f minor words per push/pop" per_op) true (per_op < 0.005)
 
 let test_timer_rearm_allocates_nothing () =
-  let engine = Engine.create ~backend:Engine.Wheel () in
+  let engine = Engine.create () in
   let fired = ref 0 in
   let tmr = Engine.timer (fun () -> incr fired) in
   (* Re-arm continually (every re-arm supersedes a pending instance) and
@@ -512,8 +578,8 @@ let test_timer_rearm_allocates_nothing () =
 (* ------------------------------------------------------------------ *)
 (* run ~until boundary (regression: events exactly at the limit fire)  *)
 
-let test_run_until_boundary backend () =
-  let engine = Engine.create ~backend () in
+let test_run_until_boundary () =
+  let engine = Engine.create () in
   let fired = ref [] in
   List.iter
     (fun t -> Engine.schedule engine ~at:t (fun () -> fired := t :: !fired))
@@ -535,8 +601,8 @@ let test_run_until_boundary backend () =
 (* ------------------------------------------------------------------ *)
 (* Stress: 1M timers, half cancelled, pools reclaimed                  *)
 
-let test_timer_stress backend () =
-  let engine = Engine.create ~backend () in
+let test_timer_stress () =
+  let engine = Engine.create () in
   let rng = Rng.create ~seed:1234 in
   let n = 1_000_000 in
   let fired = ref 0 in
@@ -674,7 +740,7 @@ let qtests =
     [
       prop_heap_sorted;
       prop_wheel_matches_heap;
-      prop_engines_identical;
+      prop_engine_matches_reference;
       prop_rng_int_in_range;
       prop_rng_float_in_range;
     ]
@@ -721,14 +787,8 @@ let () =
           Alcotest.test_case "timer re-arm allocates nothing" `Quick
             test_timer_rearm_allocates_nothing;
           Alcotest.test_case "step" `Quick test_step;
-          Alcotest.test_case "until boundary (wheel)" `Quick
-            (test_run_until_boundary Engine.Wheel);
-          Alcotest.test_case "until boundary (heap)" `Quick
-            (test_run_until_boundary Engine.Heap);
-          Alcotest.test_case "1M timers stress (wheel)" `Quick
-            (test_timer_stress Engine.Wheel);
-          Alcotest.test_case "1M timers stress (heap)" `Quick
-            (test_timer_stress Engine.Heap);
+          Alcotest.test_case "until boundary (wheel)" `Quick test_run_until_boundary;
+          Alcotest.test_case "1M timers stress (wheel)" `Quick test_timer_stress;
         ] );
       ( "rng",
         [

@@ -86,17 +86,6 @@ let adversarial_asserts r =
         (contested >= 0.9 *. base))
     r.Fuzz.baseline_gbps r.Fuzz.contested_gbps
 
-(* Satellite: the heap and wheel schedulers must be observationally
-   indistinguishable — five seeded scenarios (mixed topologies, impaired
-   links, cheaters), each run under both backends, comparing outcome
-   JSON, the metrics registry, trace JSONL and pcap bytes. *)
-let test_scheduler_identity () =
-  match Fuzz.scheduler_identity ~seeds:[ 1; 2; 3; 4; 5 ] () with
-  | [] -> ()
-  | d :: _ ->
-    Alcotest.failf "seed %d: %s diverges between heap and wheel schedulers" d.Fuzz.div_seed
-      d.Fuzz.div_artifact
-
 let test_adversarial_clean () = adversarial_asserts (Fuzz.adversarial ())
 
 let test_adversarial_impaired () =
@@ -120,8 +109,6 @@ let () =
         ] );
       ( "invariants",
         [ Alcotest.test_case "seeded batch holds" `Slow test_seeded_batch_holds ] );
-      ( "schedulers",
-        [ Alcotest.test_case "heap/wheel byte identity" `Slow test_scheduler_identity ] );
       ( "policing",
         [
           Alcotest.test_case "sampled cheater is policed" `Slow test_sampled_cheater_is_policed;

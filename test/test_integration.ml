@@ -655,24 +655,19 @@ let test_int_trace_deterministic () =
      scan 0);
   check_bool "byte-identical across runs" true (String.equal a b)
 
-(* Tentpole acceptance: the bench smoke scenario — seeded AC/DC dumbbell
-   with goodput measurement and an acdc-report/1 rendering — must be
-   byte-identical under the heap and wheel schedulers: report JSON, trace
-   JSONL, and pcapng bytes.  The wheel may only be faster, never
-   different. *)
-let test_scheduler_byte_identity () =
-  let one_run backend =
+(* The bench smoke scenario — seeded AC/DC dumbbell with goodput
+   measurement and an acdc-report/1 rendering — run twice in one process
+   must give byte-identical report JSON, trace JSONL and pcapng bytes. *)
+let test_run_byte_identity () =
+  let one_run () =
     Dcpkt.Packet.reset_ids ();
     Experiments.Harness.reset_run_metrics ();
-    let saved = Engine.default_backend () in
-    Engine.set_default_backend backend;
     let trace_buf = Buffer.create 65536 and pcap_buf = Buffer.create 65536 in
     Obs.Runtime.set_tracer (Obs.Trace.jsonl ~write:(Buffer.add_string trace_buf));
     Obs.Runtime.set_pcap
       (Obs.Pcap.create ~format:Obs.Pcap.Pcapng ~write:(Buffer.add_string pcap_buf));
     Fun.protect
       ~finally:(fun () ->
-        Engine.set_default_backend saved;
         Obs.Runtime.set_tracer Obs.Trace.null;
         Obs.Runtime.set_pcap Obs.Pcap.null)
     @@ fun () ->
@@ -685,19 +680,19 @@ let test_scheduler_byte_identity () =
     in
     Topology.shutdown net;
     let report =
-      Experiments.Harness.report_of_run ~id:"sched-identity" ~scheme ~goodputs ()
+      Experiments.Harness.report_of_run ~id:"run-identity" ~scheme ~goodputs ()
     in
     ( Obs.Json.to_string (Obs.Report.to_json report),
       Buffer.contents trace_buf,
       Buffer.contents pcap_buf )
   in
-  let rh, th, ph = one_run Engine.Heap in
-  let rw, tw, pw = one_run Engine.Wheel in
-  check_bool "trace is non-trivial" true (String.length th > 10_000);
-  check_bool "pcap is non-trivial" true (String.length ph > 1_000);
-  check_bool "acdc-report/1 JSON identical" true (String.equal rh rw);
-  check_bool "trace JSONL identical" true (String.equal th tw);
-  check_bool "pcap bytes identical" true (String.equal ph pw)
+  let ra, ta, pa = one_run () in
+  let rb, tb, pb = one_run () in
+  check_bool "trace is non-trivial" true (String.length ta > 10_000);
+  check_bool "pcap is non-trivial" true (String.length pa > 1_000);
+  check_bool "acdc-report/1 JSON identical" true (String.equal ra rb);
+  check_bool "trace JSONL identical" true (String.equal ta tb);
+  check_bool "pcap bytes identical" true (String.equal pa pb)
 
 (* ------------------------------------------------------------------ *)
 (* Datapath allocation ceiling                                         *)
@@ -791,9 +786,10 @@ let () =
           Alcotest.test_case "int option space exceeded" `Quick test_int_option_space_exceeded;
           Alcotest.test_case "int trace deterministic" `Quick test_int_trace_deterministic;
         ] );
-      ( "schedulers",
+      ( "determinism",
         [
-          Alcotest.test_case "heap/wheel byte identity" `Quick test_scheduler_byte_identity;
+          Alcotest.test_case "report/trace/pcap byte identity" `Quick
+            test_run_byte_identity;
         ] );
       ( "datapath",
         [

@@ -145,6 +145,24 @@ let test_jsonl_determinism () =
   check_string "byte-identical" (Digest.to_hex (Digest.string a))
     (Digest.to_hex (Digest.string b))
 
+(* Decoder robustness: every line of a real seeded trace, bit-flipped,
+   truncated or with junk appended, decodes to [Ok] or [Error] — the trace
+   reader never raises on bad input. *)
+let trace_lines =
+  lazy
+    (let lines = List.filter (( <> ) "") (String.split_on_char '\n' (trace_of_run ())) in
+     assert (List.length lines > 100);
+     Array.of_list lines)
+
+let prop_trace_decoder_total =
+  QCheck.Test.make ~name:"mutated trace lines decode to Ok or Error" ~count:2000
+    QCheck.(pair (int_bound (1 lsl 30)) Mutation.arbitrary)
+    (fun (i, mutations) ->
+      let lines = Lazy.force trace_lines in
+      let line = Mutation.apply_all lines.(i mod Array.length lines) mutations in
+      match Result.bind (Json.of_string line) Trace.event_of_json with
+      | Ok _ | Error _ -> true)
+
 (* ------------------------------------------------------------------ *)
 (* Trace events: JSONL round-trip and filters                          *)
 
@@ -469,4 +487,5 @@ let () =
           Alcotest.test_case "deeply nested escapes round-trip" `Quick test_json_deep_nesting;
           Alcotest.test_case "non-finite floats" `Quick test_json_non_finite;
         ] );
+      ("decoders", [ QCheck_alcotest.to_alcotest prop_trace_decoder_total ]);
     ]

@@ -215,6 +215,24 @@ let test_report_round_trip () =
       | None -> Alcotest.fail "rtt_ms summary missing")
     | None -> Alcotest.fail "percentiles missing")
 
+(* Decoder robustness: a report file whose bytes are bit-flipped,
+   truncated or followed by junk reads back as [Ok] or [Error], never as
+   an exception. *)
+let prop_report_reader_total =
+  let valid = lazy (Json.to_string (Obs.Report.to_json (sample_report ()))) in
+  let path =
+    lazy
+      (let path = Filename.temp_file "acdc-report" ".json" in
+       at_exit (fun () -> Sys.remove path);
+       path)
+  in
+  QCheck.Test.make ~name:"mutated report files read as Ok or Error" ~count:500
+    Mutation.arbitrary (fun mutations ->
+      let path = Lazy.force path in
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc (Mutation.apply_all (Lazy.force valid) mutations));
+      match Obs.Report.read_file ~path with Ok _ | Error _ -> true)
+
 let test_report_write_unwritable () =
   match Obs.Report.write (sample_report ()) ~path:"/nonexistent-dir-xyzzy/report.json" with
   | () -> Alcotest.fail "expected Sys_error"
@@ -378,6 +396,7 @@ let () =
         [
           Alcotest.test_case "round-trip" `Quick test_report_round_trip;
           Alcotest.test_case "unwritable path" `Quick test_report_write_unwritable;
+          QCheck_alcotest.to_alcotest prop_report_reader_total;
         ] );
       ( "diff",
         [
