@@ -12,16 +12,17 @@
       drives the same code as `bin/acdc_expt.exe`), printing the rows and
       CDFs the paper plots, plus the ablations called out in DESIGN.md.
 
-   Every invocation also writes a machine-readable BENCH.json summary
-   (wall time, simulator events/sec and the metric snapshot per scenario,
-   plus ns/op per microbenchmark) so the perf trajectory is tracked
-   PR-over-PR; see README "BENCH.json schema".
+   Every invocation writes one run report per scenario to --report
+   (default REPORT.json; several scenarios are merged into one corpus):
+   simulator events and events/sec, the metric snapshot and whichever
+   profile, INT and attribution sections the run touched, plus ns/op per
+   microbenchmark row.  See README "Run reports".
 
    Run with: dune exec bench/main.exe            (everything)
              dune exec bench/main.exe -- cpu     (microbenchmarks only)
              dune exec bench/main.exe -- fig8    (one experiment)
              dune exec bench/main.exe -- smoke   (fast CI smoke run)
-             dune exec bench/main.exe -- smoke -o out.json *)
+             dune exec bench/main.exe -- smoke --report out.json *)
 
 module Engine = Eventsim.Engine
 module Packet = Dcpkt.Packet
@@ -196,11 +197,6 @@ let cpu_rows = ref []
 let run_cpu_bench ?(quota = 0.5) () =
   let open Bechamel in
   let open Toolkit in
-  (* The datapath rows are the paper's profiling-off numbers; a driver
-     that profiled the preceding simulation must not leak spans in here.
-     Collection resumes for any scenario that follows. *)
-  let was_profiling = Obs.Prof.enabled () in
-  Obs.Prof.set_enabled false;
   Format.printf "@.=== Figures 11-12: vSwitch datapath cost (CPU overhead proxy) ===@.";
   Format.printf "  ns per (data segment + ACK) through the datapath@.";
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
@@ -255,8 +251,7 @@ let run_cpu_bench ?(quota = 0.5) () =
       segs_per_sec a
       (segs_per_sec *. a /. 1e9 *. 100.0);
     Format.printf "  the same sub-1%%-point overhead the paper reports.@."
-  | None -> ());
-  if was_profiling then Obs.Prof.set_enabled true
+  | None -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Ablations (DESIGN.md §5)                                            *)
@@ -356,26 +351,18 @@ let ablation_window_floor () =
 (* ------------------------------------------------------------------ *)
 (* Smoke: a fast end-to-end run for CI — exercises the switches, the
    vSwitch datapath and the AC/DC hooks in well under a second so the
-   workflow can upload a real BENCH.json on every push. *)
+   workflow can upload a real REPORT.json on every push. *)
 
-let report_out = ref "REPORT.json"
-
-(* The simulation half of the smoke run.  Returns its report unwritten:
-   [smoke] folds in the churn row the microbench measures afterwards. *)
+(* The simulation half of the smoke run, in a run with INT and FCT
+   attribution on: every switch stamps per-hop telemetry, the report grows
+   "int" and deterministic "fct_attrib" sections (live stall clocks for
+   the saturating pairs, exact snapshots for completed flows) that the
+   report_diff gate tracks, and the timeseries export carries flow 0's
+   per-hop and per-state channels. *)
 let smoke_sim () =
   Format.printf "@.=== smoke: 5-pair AC/DC dumbbell, 100 ms ===@.";
   let scheme = Experiments.Harness.acdc () in
   let pairs = 5 in
-  (* INT on for the fabric portion only: every switch stamps per-hop
-     telemetry, the report grows an "int" section and the timeseries
-     export carries flow 0's per-hop channels.  The cpu microbench below
-     runs with INT back off so its rows stay comparable to figs. 11-12. *)
-  Dcpkt.Int_meta.set_enabled true;
-  (* FCT attribution likewise: the report grows a deterministic
-     "fct_attrib" section (live stall clocks for the saturating pairs,
-     exact snapshots for completed flows) that the report_diff gate
-     tracks, and flow 0's per-state clock streams to the timeseries. *)
-  Obs.Attrib.set_enabled (Obs.Runtime.attrib ()) true;
   let net = Experiments.Harness.dumbbell scheme ~pairs () in
   let conns = Experiments.Harness.long_lived_pairs net scheme ~pairs in
   (* Instrument the run: switch queues, one flow's enforced window, flow
@@ -428,109 +415,85 @@ let smoke_sim () =
   Obs.Report.add_int report "switch_drops" (Fabric.Topology.total_switch_drops net);
   Obs.Report.add_samples report ~name:"probe_rtt_ms" ~unit_label:"ms"
     (Workload.Probe.samples_ms probe);
-  (* Close any --trace/--pcap/--profile artifacts here so they cover
-     exactly the simulation run: the CPU microbench below pushes synthetic
-     packets through bare datapaths, which would pollute provenance
-     (events with no Created origin), break `trace_query validate`, and
-     skew the profiling-off datapath rows. *)
-  Obs.Runtime.close_trace ();
-  Obs.Runtime.close_pcap ();
-  Obs.Runtime.close_profile ();
-  Dcpkt.Int_meta.set_enabled false;
-  Obs.Attrib.set_enabled (Obs.Runtime.attrib ()) false;
   report
 
-(* One BENCH.json sidecar: wall time, events and the metric snapshot of
-   [f] alone. *)
-let timed id f =
-  let wall_s, events = Experiments.Harness.timed_run f in
-  Experiments.Harness.run_sidecar ~id ~wall_s ~events
-
-(* The sidecar is taken over the simulation only, so its events/sec and
-   metric snapshot match the report; the CPU microbench runs after it.
-   The report is written only then so it can fold in the wheel churn row,
-   which the report_diff gate watches.  [set_metrics]/[add_*] snapshotted
-   at call time, so the deterministic sections are unaffected by the
-   bench running after. *)
+(* The report's events/sec covers the simulation only; the microbench
+   runs after it and contributes the wheel churn row, which the
+   report_diff gate watches.  The datapath rows are the paper's
+   profiling-off numbers, and the synthetic packets pushed through bare
+   datapaths have no provenance, so the microbench runs with every sink
+   off: it neither pollutes the command line's trace, capture and profile nor
+   is skewed by them. *)
 let smoke () =
-  let report = ref None in
-  let sidecar = timed "smoke" (fun () -> report := Some (smoke_sim ())) in
-  run_cpu_bench ~quota:0.05 ();
-  let report = Option.get !report in
+  let report =
+    Experiments.Harness.timed_run ~id:"smoke"
+      ~config:{ (Obs.Runtime.current ()) with int = true; attrib = true }
+      smoke_sim
+  in
+  Obs.Runtime.with_run Obs.Runtime.off (fun () -> run_cpu_bench ~quota:0.05 ());
   Option.iter
     (Obs.Report.add_scalar report "sched_wheel_ns_per_op")
     (List.assoc_opt "scheduler/wheel/churn-04096" !cpu_rows);
-  Obs.Report.write report ~path:!report_out;
-  Format.printf "  wrote %s@." !report_out;
-  sidecar
+  report
 
 (* ------------------------------------------------------------------ *)
 
-let registry_bench id =
-  match Experiments.Registry.find id with
-  | Some e ->
-    let t0 = Unix.gettimeofday () in
-    e.Experiments.Registry.run ();
-    Format.printf "  [%s finished in %.1fs]@." id (Unix.gettimeofday () -. t0)
-  | None -> Format.eprintf "unknown experiment %s@." id
+let scenario ?config id f =
+  Experiments.Harness.timed_run ?config ~id (fun () ->
+      f ();
+      Experiments.Harness.report_of_run ~id ())
 
-let all_ids = Experiments.Registry.ids () @ [ "cpu"; "ablation-fack"; "ablation-floor" ]
+(* Every sink off, for the same reasons as smoke's microbench pass. *)
+let cpu () =
+  let report = scenario ~config:Obs.Runtime.off "cpu" (fun () -> run_cpu_bench ()) in
+  List.iter (fun (name, ns) -> Obs.Report.add_scalar report (name ^ ".ns_per_op") ns) !cpu_rows;
+  report
+
+let bench_ids = [ "cpu"; "ablation-fack"; "ablation-floor" ]
 
 let run_one = function
   | "smoke" -> smoke ()
-  | "cpu" -> timed "cpu" (fun () -> run_cpu_bench ())
-  | "ablation-fack" -> timed "ablation-fack" ablation_fack
-  | "ablation-floor" -> timed "ablation-floor" ablation_window_floor
-  | id -> timed id (fun () -> registry_bench id)
-
-(* BENCH.json: one sidecar object per scenario (wall time, simulator
-   events/sec, metric snapshot) plus the microbenchmark rows, so tooling
-   can diff runs without scraping the pretty-printed output. *)
-let bench_json ~scenarios =
-  Obs.Json.Obj
-    [
-      ("schema", Obs.Json.String "acdc-bench/1");
-      ("scenarios", Obs.Json.List scenarios);
-      ( "cpu",
-        Obs.Json.List
-          (List.map
-             (fun (name, ns) ->
-               Obs.Json.Obj
-                 [ ("name", Obs.Json.String name); ("ns_per_op", Obs.Json.Float ns) ])
-             !cpu_rows) );
-    ]
+  | "cpu" -> cpu ()
+  | "ablation-fack" -> scenario "ablation-fack" ablation_fack
+  | "ablation-floor" -> scenario "ablation-floor" ablation_window_floor
+  | id -> scenario id (Option.get (Experiments.Registry.find id)).Experiments.Registry.run
 
 let () =
-  let rec parse ids out = function
-    | [] -> (List.rev ids, out)
-    | "-o" :: path :: rest -> parse ids (Some path) rest
+  let report = ref "REPORT.json" and config = ref Obs.Runtime.off in
+  let rec parse ids = function
+    | [] -> List.rev ids
     | "--report" :: path :: rest ->
-      report_out := path;
-      parse ids out rest
+      report := path;
+      parse ids rest
     | "--trace" :: path :: rest ->
-      Obs.Runtime.trace_to_file path;
-      parse ids out rest
+      config := { !config with trace = File path };
+      parse ids rest
     | "--pcap" :: path :: rest ->
-      Obs.Runtime.pcap_to_file path;
-      parse ids out rest
+      config := { !config with pcap = File path };
+      parse ids rest
     | "--timeseries" :: dir :: rest ->
-      Obs.Runtime.set_timeseries_sink ~dir;
-      parse ids out rest
+      config := { !config with timeseries = Some dir };
+      parse ids rest
     | "--profile" :: rest ->
-      Obs.Runtime.profile_to ();
-      parse ids out rest
+      config := { !config with profile = Profiled None };
+      parse ids rest
     | arg :: rest when String.length arg > 10 && String.sub arg 0 10 = "--profile=" ->
-      Obs.Runtime.profile_to ~folded:(String.sub arg 10 (String.length arg - 10)) ();
-      parse ids out rest
-    | arg :: rest -> parse (arg :: ids) out rest
+      config :=
+        { !config with profile = Profiled (Some (String.sub arg 10 (String.length arg - 10))) };
+      parse ids rest
+    | arg :: rest -> parse (arg :: ids) rest
   in
-  let ids, out = parse [] None (List.tl (Array.to_list Sys.argv)) in
-  let ids = match ids with [] | [ "all" ] -> all_ids | ids -> ids in
-  let out = Option.value out ~default:"BENCH.json" in
+  let ids =
+    match parse [] (List.tl (Array.to_list Sys.argv)) with
+    | [] | [ "all" ] -> Experiments.Registry.ids () @ bench_ids
+    | ids -> ids
+  in
+  (match Experiments.Registry.check ~extra:("smoke" :: bench_ids) ids with
+  | Ok () -> ()
+  | Error msg ->
+    Format.eprintf "%s@." msg;
+    exit 1);
   Format.printf "AC/DC TCP evaluation: every table and figure of He et al., SIGCOMM 2016@.";
-  let scenarios = List.map run_one ids in
-  Experiments.Harness.write_json ~path:out (bench_json ~scenarios);
-  Obs.Runtime.close_trace ();
-  Obs.Runtime.close_pcap ();
-  Obs.Runtime.close_profile ();
-  Format.printf "@.wrote %s@." out
+  Obs.Runtime.with_run !config (fun () ->
+      Obs.Report.write_runs (List.map run_one ids) ~path:!report);
+  Format.printf "@.wrote %s@." !report

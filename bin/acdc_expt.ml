@@ -6,54 +6,16 @@ let list_experiments () =
     (fun e -> Format.printf "  %-14s %s@." e.Experiments.Registry.id e.Experiments.Registry.title)
     (Experiments.Registry.all ())
 
-(* Run each experiment bracketed by the observability harness; returns
-   per-id timings plus one machine-readable sidecar for --metrics-out. *)
+(* Each experiment runs in its own nested run bracket and yields its own
+   report. *)
 let run_ids ids =
-  let missing = List.filter (fun id -> Experiments.Registry.find id = None) ids in
-  if missing <> [] then begin
-    Format.eprintf "unknown experiment(s): %s@." (String.concat ", " missing);
-    exit 1
-  end;
-  List.rev
-    (List.fold_left
-       (fun acc id ->
-         match Experiments.Registry.find id with
-         | Some e ->
-           let wall_s, events =
-             Experiments.Harness.timed_run (fun () -> e.Experiments.Registry.run ())
-           in
-           Format.printf "  [%s finished in %.1fs]@." id wall_s;
-           (id, wall_s, events, Experiments.Harness.run_sidecar ~id ~wall_s ~events) :: acc
-         | None -> assert false)
-       [] ids)
-
-let write_report ~path runs =
-  let report =
-    Obs.Report.create ~id:(String.concat "+" (List.map (fun (id, _, _, _) -> id) runs)) ()
-  in
-  Obs.Report.add_config report "experiments"
-    (Obs.Json.List (List.map (fun (id, _, _, _) -> Obs.Json.String id) runs));
-  List.iter
-    (fun (id, wall_s, events, _) ->
-      Obs.Report.add_scalar report (id ^ ".wall_s") wall_s;
-      Obs.Report.add_scalar report (id ^ ".events_per_sec")
-        (if wall_s > 0.0 then float_of_int events /. wall_s else 0.0))
-    runs;
-  (* The ambient registry holds the last experiment's counters (timed_run
-     resets between runs); the per-experiment snapshots live in the
-     sidecars written by --metrics-out.  Likewise the profile section:
-     per-experiment profiles ride in the sidecars. *)
-  Obs.Report.set_metrics report (Obs.Runtime.metrics ());
-  if Obs.Prof.touched () then begin
-    Obs.Report.set_profile report (Obs.Prof.to_json ());
-    List.iter (fun (key, v) -> Obs.Report.add_scalar report key v) (Obs.Prof.baselines ())
-  end;
-  let sink = Obs.Runtime.int_sink () in
-  if Obs.Int_sink.touched sink then Obs.Report.set_int report (Obs.Int_sink.to_json sink);
-  let attrib = Obs.Runtime.attrib () in
-  if Obs.Attrib.touched attrib then
-    Obs.Report.set_fct_attrib report (Obs.Attrib.to_json attrib);
-  Obs.Report.write report ~path
+  List.map
+    (fun id ->
+      let e = Option.get (Experiments.Registry.find id) in
+      Experiments.Harness.timed_run ~id (fun () ->
+          e.Experiments.Registry.run ();
+          Experiments.Harness.report_of_run ~id ()))
+    ids
 
 open Cmdliner
 
@@ -97,14 +59,10 @@ let pcap_arg =
   in
   Arg.(value & opt (some string) None & info [ "pcap" ] ~docv:"FILE" ~doc)
 
-let metrics_arg =
-  let doc = "Write per-experiment metric snapshots (JSON) to $(docv)." in
-  Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
-
 let profile_arg =
   let doc =
     "Profile the run: per-subsystem span counts, wall time and allocation words are added to \
-     --report / --metrics-out output, and flamegraph-compatible folded stacks are written to \
+     the --report output, and flamegraph-compatible folded stacks are written to \
      $(docv) (default 'profile.folded' when the flag is given bare)."
   in
   Arg.(
@@ -194,47 +152,38 @@ let run_fuzz ~count ~seed ~report =
   end;
   violations
 
-let main verbose list trace trace_filter pcap metrics_out report timeseries impair profile
-    int_enabled attrib_enabled fuzz seed ids =
-  setup_logs verbose;
-  if int_enabled then Dcpkt.Int_meta.set_enabled true;
-  if attrib_enabled then Obs.Attrib.set_enabled (Obs.Runtime.attrib ()) true;
-  Option.iter (fun folded -> Obs.Runtime.profile_to ~folded ()) profile;
-  (try Option.iter Obs.Runtime.trace_to_file trace
-   with Sys_error msg ->
-     Format.eprintf "cannot open trace file: %s@." msg;
-     exit 1);
-  (match trace_filter with
-  | None -> ()
-  | Some spec when trace = None ->
-    Format.eprintf "--trace-filter %S requires --trace@." spec;
+(* Output files are opened once the run starts; fail on unwritable paths
+   before spending minutes simulating. *)
+let check_writable what path =
+  try close_out (open_out path)
+  with Sys_error msg ->
+    Format.eprintf "cannot open %s file: %s@." what msg;
     exit 1
-  | Some spec -> (
-    match Obs.Trace.filter_of_spec spec with
-    | Ok wrap -> Obs.Runtime.set_tracer (wrap (Obs.Runtime.tracer ()))
-    | Error msg ->
-      Format.eprintf "bad --trace-filter spec: %s@." msg;
-      exit 1));
-  (try Option.iter Obs.Runtime.pcap_to_file pcap
-   with Sys_error msg ->
-     Format.eprintf "cannot open pcap file: %s@." msg;
-     exit 1);
-  (* Fail on unwritable output paths before spending minutes simulating. *)
-  (try
-     Option.iter
-       (fun path ->
-         let oc = open_out path in
-         close_out oc)
-       report
-   with Sys_error msg ->
-     Format.eprintf "cannot open report file: %s@." msg;
-     exit 1);
+
+let main verbose list trace trace_filter pcap report timeseries impair profile int_enabled
+    attrib_enabled fuzz seed ids =
+  setup_logs verbose;
+  Option.iter (check_writable "trace") trace;
+  let filter =
+    match trace_filter with
+    | None -> None
+    | Some spec when trace = None ->
+      Format.eprintf "--trace-filter %S requires --trace@." spec;
+      exit 1
+    | Some spec -> (
+      match Obs.Trace.filter_of_spec spec with
+      | Ok wrap -> Some wrap
+      | Error msg ->
+        Format.eprintf "bad --trace-filter spec: %s@." msg;
+        exit 1)
+  in
+  Option.iter (check_writable "pcap") pcap;
+  Option.iter (check_writable "report") report;
   (try
      Option.iter
        (fun dir ->
          if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
-         else if not (Sys.is_directory dir) then raise (Sys_error (dir ^ ": not a directory"));
-         Obs.Runtime.set_timeseries_sink ~dir)
+         else if not (Sys.is_directory dir) then raise (Sys_error (dir ^ ": not a directory")))
        timeseries
    with Sys_error msg ->
      Format.eprintf "cannot open timeseries directory: %s@." msg;
@@ -247,43 +196,53 @@ let main verbose list trace trace_filter pcap metrics_out report timeseries impa
     | Error msg ->
       Format.eprintf "bad --impair spec: %s@." msg;
       exit 1));
-  match fuzz with
-  | Some count ->
-    if count <= 0 then begin
-      Format.eprintf "--fuzz expects a positive count@.";
-      exit 1
-    end;
-    let violations = run_fuzz ~count ~seed ~report in
-    Obs.Runtime.clear_timeseries_sink ();
-    Obs.Runtime.close_trace ();
-    Obs.Runtime.close_pcap ();
-    Obs.Runtime.close_profile ();
-    if violations > 0 then exit 1
-  | None ->
-  if list || ids = [] then list_experiments ()
-  else begin
-    let ids = if ids = [ "all" ] then Experiments.Registry.ids () else ids in
-    let runs = run_ids ids in
-    Option.iter
-      (fun path ->
-        Experiments.Harness.write_json ~path
-          (Obs.Json.List (List.map (fun (_, _, _, sidecar) -> sidecar) runs));
-        Format.printf "  [metrics written to %s]@." path)
-      metrics_out;
-    Option.iter
-      (fun path ->
-        write_report ~path runs;
-        Format.printf "  [report written to %s]@." path)
-      report;
-    Option.iter (Format.printf "  [timeseries written to %s]@.") timeseries
-  end;
-  Obs.Runtime.clear_timeseries_sink ();
-  Obs.Runtime.close_trace ();
-  Obs.Runtime.close_pcap ();
-  Obs.Runtime.close_profile ();
+  let ids = if ids = [ "all" ] then Experiments.Registry.ids () else ids in
+  (match Experiments.Registry.check ids with
+  | Ok () -> ()
+  | Error msg ->
+    Format.eprintf "%s@." msg;
+    exit 1);
+  let file off = Option.fold ~none:off ~some:(fun path -> Obs.Runtime.File path) in
+  let config =
+    {
+      Obs.Runtime.trace = file Obs.Runtime.off.trace trace;
+      pcap = file Obs.Runtime.off.pcap pcap;
+      profile =
+        (match profile with
+        | Some folded -> Obs.Runtime.Profiled (Some folded)
+        | None -> Obs.Runtime.Unprofiled);
+      timeseries;
+      int = int_enabled;
+      attrib = attrib_enabled;
+    }
+  in
+  let failed =
+    Obs.Runtime.with_run config @@ fun () ->
+    Option.iter (fun wrap -> Obs.Runtime.set_tracer (wrap (Obs.Runtime.tracer ()))) filter;
+    match fuzz with
+    | Some count ->
+      if count <= 0 then begin
+        Format.eprintf "--fuzz expects a positive count@.";
+        true
+      end
+      else run_fuzz ~count ~seed ~report > 0
+    | None ->
+      if list || ids = [] then list_experiments ()
+      else begin
+        let reports = run_ids ids in
+        Option.iter
+          (fun path ->
+            Obs.Report.write_runs reports ~path;
+            Format.printf "  [report written to %s]@." path)
+          report;
+        Option.iter (Format.printf "  [timeseries written to %s]@.") timeseries
+      end;
+      false
+  in
   Option.iter (Format.printf "  [trace written to %s]@.") trace;
   Option.iter (Format.printf "  [pcap written to %s]@.") pcap;
-  Option.iter (Format.printf "  [folded profile stacks written to %s]@.") profile
+  Option.iter (Format.printf "  [folded profile stacks written to %s]@.") profile;
+  if failed then exit 1
 
 let cmd =
   let doc = "reproduce the AC/DC TCP (SIGCOMM 2016) experiments" in
@@ -291,7 +250,7 @@ let cmd =
   Cmd.v info
     Term.(
       const main $ verbose_arg $ list_arg $ trace_arg $ trace_filter_arg $ pcap_arg
-      $ metrics_arg $ report_arg $ timeseries_arg $ impair_arg $ profile_arg $ int_arg
+      $ report_arg $ timeseries_arg $ impair_arg $ profile_arg $ int_arg
       $ attrib_arg $ fuzz_arg $ seed_arg $ ids_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -51,20 +51,13 @@ let tap engine =
         Vswitch.Datapath.Pass);
   }
 
-let () =
-  (* Install the ambient tracer *before* the topology is built — switches
-     and NICs capture it at construction time. *)
+(* One traced run; [main] brackets it with the requested sinks. *)
+let demo () =
+  (* Install the tracer *before* the topology is built — switches and NICs
+     capture it at construction time.  The ring sees every event; the
+     run's JSONL file, if any, too. *)
   let ring = Obs.Trace.ring ~capacity:4096 () in
-  let file, csv_dir =
-    match Sys.argv with
-    | [| _; path |] -> (Some (open_out path, path), None)
-    | [| _; path; dir |] -> (Some (open_out path, path), Some dir)
-    | _ -> (None, None)
-  in
-  Obs.Runtime.set_tracer
-    (match file with
-    | Some (oc, _) -> Obs.Trace.tee ring (Obs.Trace.jsonl_channel oc)
-    | None -> ring);
+  Obs.Runtime.set_tracer (Obs.Trace.tee ring (Obs.Runtime.tracer ()));
   let params = Fabric.Params.with_ecn (Fabric.Params.with_mtu Fabric.Params.default 1500) in
   let engine = Engine.create () in
   let net =
@@ -141,16 +134,25 @@ let () =
       Format.printf "  %-28s %4d points, last %s %s@." (Obs.Timeseries.name ch)
         (Obs.Timeseries.length ch) last (Obs.Timeseries.unit_label ch))
     (Obs.Timeseries.channels ts);
-  (match file with
-  | Some (oc, path) ->
-    close_out oc;
-    Format.printf "@.full JSONL trace written to %s@." path
-  | None -> ());
-  (match csv_dir with
-  | Some dir ->
-    Obs.Timeseries.write_csv_dir ts ~dir;
-    Format.printf "time-series CSVs written to %s/@." dir
-  | None -> ());
+  Obs.Runtime.export_timeseries ts
+
+let () =
+  let path, csv_dir =
+    match Sys.argv with
+    | [| _; path |] -> (Some path, None)
+    | [| _; path; dir |] -> (Some path, Some dir)
+    | _ -> (None, None)
+  in
+  let config =
+    {
+      Obs.Runtime.off with
+      trace = (match path with Some p -> File p | None -> Obs.Runtime.off.trace);
+      timeseries = csv_dir;
+    }
+  in
+  Obs.Runtime.with_run config demo;
+  Option.iter (Format.printf "@.full JSONL trace written to %s@.") path;
+  Option.iter (Format.printf "time-series CSVs written to %s/@.") csv_dir;
   Format.printf
     "@.Things to notice: the tenant sent Not-ECT data (it has no ECN), yet@\n\
      every data packet left as ECT0; the ACKs the VM received carry no PACK@\n\

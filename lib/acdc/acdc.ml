@@ -5,10 +5,10 @@ module Int_feedback = Int_feedback
 
 type t = { sender : Sender.t; receiver : Receiver.t }
 
-let create ?metrics ?tracer engine config =
+let create engine config =
   {
-    sender = Sender.create ?metrics ?tracer engine config;
-    receiver = Receiver.create ?metrics ?tracer engine config;
+    sender = Sender.create engine config;
+    receiver = Receiver.create engine config;
   }
 
 (* The span guards are inlined (no [with_span]): a closure per packet on

@@ -17,7 +17,7 @@ module Int_feedback = Int_feedback
 
 type t
 
-val create : ?metrics:Obs.Metrics.t -> ?tracer:Obs.Trace.t -> Eventsim.Engine.t -> Config.t -> t
+val create : Eventsim.Engine.t -> Config.t -> t
 (** Build the sender and receiver modules for one host. *)
 
 val attach : t -> Vswitch.Datapath.t -> unit

@@ -9,8 +9,8 @@
 
 type t
 
-val create : ?metrics:Obs.Metrics.t -> ?tracer:Obs.Trace.t -> Eventsim.Engine.t -> Config.t -> t
-(** [tracer] (default: the ambient {!Obs.Runtime.tracer}) receives a
+val create : Eventsim.Engine.t -> Config.t -> t
+(** The current run's {!Obs.Runtime.tracer} receives a
     [Pack_attach] event per PACK carrier and a [Created] event per
     injected FACK. *)
 

@@ -10,7 +10,7 @@
 
 type t
 
-val create : ?metrics:Obs.Metrics.t -> ?tracer:Obs.Trace.t -> Eventsim.Engine.t -> Config.t -> t
+val create : Eventsim.Engine.t -> Config.t -> t
 
 val egress :
   t -> Dcpkt.Packet.t -> inject:(Dcpkt.Packet.t -> unit) -> Vswitch.Datapath.verdict

@@ -12,7 +12,6 @@
 
 module Engine = Eventsim.Engine
 module Time_ns = Eventsim.Time_ns
-module Int_meta = Dcpkt.Int_meta
 
 module Attrib_fig = struct
   type row = {
@@ -59,18 +58,11 @@ module Attrib_fig = struct
       (net, conns, [ 500_000 ])
     | other -> invalid_arg ("Fig_attrib: unknown scenario " ^ other)
 
+  (* Runs inside [run]'s bracket; each row reads its own clocks, so the
+     rows start from a clean attribution instance. *)
   let one scheme ~scenario =
     let attrib = Obs.Runtime.attrib () in
-    Obs.Runtime.reset_attrib ();
-    let attrib_was = Obs.Attrib.enabled attrib in
-    let int_was = Int_meta.enabled () in
-    Obs.Attrib.set_enabled attrib true;
-    Int_meta.set_enabled true;
-    Fun.protect
-      ~finally:(fun () ->
-        Obs.Attrib.set_enabled attrib attrib_was;
-        Int_meta.set_enabled int_was)
-    @@ fun () ->
+    Obs.Attrib.reset attrib;
     let net, conns, messages = build scheme scenario in
     let engine = net.Fabric.Topology.engine in
     List.iter
@@ -128,6 +120,8 @@ module Attrib_fig = struct
     { scheme = scheme.Harness.label; scenario; flows = n; mean_fct_us; fracs; top_hop }
 
   let run ?(scenarios = [ "dumbbell"; "incast" ]) () =
+    Obs.Runtime.with_run { (Obs.Runtime.current ()) with int = true; attrib = true }
+    @@ fun () ->
     List.concat_map
       (fun scenario ->
         List.map

@@ -46,9 +46,7 @@ module Int_hops = struct
     let scheme = Harness.acdc () in
     let params = Harness.params_for scheme Fabric.Params.default in
     let engine = Engine.create () in
-    let was_enabled = Int_meta.enabled () in
-    Int_meta.set_enabled true;
-    Fun.protect ~finally:(fun () -> Int_meta.set_enabled was_enabled) @@ fun () ->
+    Obs.Runtime.with_run { (Obs.Runtime.current ()) with int = true } @@ fun () ->
     let net =
       Fabric.Topology.parking_lot engine ~params ~acdc:(Harness.acdc_select scheme params)
         ~senders ()

@@ -110,15 +110,11 @@ let run_scenario scenario =
   (* Per-scenario isolation: fresh ids, zeroed ambient registry — also
      what makes a fixed-seed fuzz report byte-identical across runs. *)
   Dcpkt.Packet.reset_ids ();
-  Obs.Runtime.reset_metrics ();
   (* Attribution is on for every scenario: invariant 7 wants the exactness
      contract checked against random send/stall schedules, and the fuzzer
      already generates exactly those. *)
-  Obs.Runtime.reset_attrib ();
+  Obs.Runtime.with_run { (Obs.Runtime.current ()) with attrib = true } @@ fun () ->
   let attrib = Obs.Runtime.attrib () in
-  let attrib_was = Obs.Attrib.enabled attrib in
-  Obs.Attrib.set_enabled attrib true;
-  Fun.protect ~finally:(fun () -> Obs.Attrib.set_enabled attrib attrib_was) @@ fun () ->
   let engine = Engine.create () in
   let scheme = Harness.acdc ~host_cc:(Tcp.Cc_registry.find scenario.cc_name) () in
   let params =
@@ -386,7 +382,7 @@ let adversarial ?(impair = Impair.clean) ?(seed = 1) () =
   let pairs = 3 in
   let run ~with_cheater =
     Dcpkt.Packet.reset_ids ();
-    Obs.Runtime.reset_metrics ();
+    Obs.Runtime.with_run (Obs.Runtime.current ()) @@ fun () ->
     let engine = Engine.create () in
     let scheme = Harness.acdc () in
     let params =

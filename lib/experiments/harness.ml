@@ -87,17 +87,8 @@ let report_of_run ~id ?scheme ?(config = []) ?goodputs ?timeseries () =
     Obs.Report.add_int report "flows" (List.length tputs);
     Obs.Report.add_scalar report "aggregate_goodput_gbps" (List.fold_left ( +. ) 0.0 tputs)
   | None -> ());
-  Obs.Report.set_metrics report (Obs.Runtime.metrics ());
   (match timeseries with Some ts -> Obs.Report.embed_timeseries report ts | None -> ());
-  if Obs.Prof.touched () then begin
-    Obs.Report.set_profile report (Obs.Prof.to_json ());
-    List.iter (fun (key, v) -> Obs.Report.add_scalar report key v) (Obs.Prof.baselines ())
-  end;
-  let sink = Obs.Runtime.int_sink () in
-  if Obs.Int_sink.touched sink then Obs.Report.set_int report (Obs.Int_sink.to_json sink);
-  let attrib = Obs.Runtime.attrib () in
-  if Obs.Attrib.touched attrib then
-    Obs.Report.set_fct_attrib report (Obs.Attrib.to_json attrib);
+  Obs.Runtime.add_sections report;
   report
 
 (* ------------------------------------------------------------------ *)
@@ -128,61 +119,19 @@ let pctl samples p =
   if Dcstats.Samples.is_empty samples then nan else Dcstats.Samples.percentile samples p
 
 (* ------------------------------------------------------------------ *)
-(* Per-run metric snapshots                                            *)
+(* Timed runs                                                          *)
 
-let reset_run_metrics () =
-  Obs.Runtime.reset_metrics ();
-  Obs.Runtime.reset_int_sink ();
-  Obs.Runtime.reset_attrib ();
-  Acdc.Int_feedback.reset ()
-
-let metrics_json () = Obs.Metrics.to_json (Obs.Runtime.metrics ())
-
-let run_sidecar ~id ~wall_s ~events =
-  let fields =
-    [
-      ("id", Obs.Json.String id);
-      ("wall_s", Obs.Json.Float wall_s);
-      ("events", Obs.Json.Int events);
-      ( "events_per_sec",
-        Obs.Json.Float (if wall_s > 0.0 then float_of_int events /. wall_s else 0.0) );
-      ("metrics", metrics_json ());
-    ]
-  in
-  let fields =
-    if Obs.Prof.touched () then
-      fields
-      @ List.map (fun (key, v) -> (key, Obs.Json.Float v)) (Obs.Prof.baselines ())
-      @ [ ("profile", Obs.Prof.to_json ()) ]
-    else fields
-  in
-  let sink = Obs.Runtime.int_sink () in
-  let fields =
-    if Obs.Int_sink.touched sink then fields @ [ ("int", Obs.Int_sink.to_json sink) ]
-    else fields
-  in
-  let attrib = Obs.Runtime.attrib () in
-  Obs.Json.Obj
-    (if Obs.Attrib.touched attrib then
-       fields @ [ ("fct_attrib", Obs.Attrib.to_json attrib) ]
-     else fields)
-
-let write_json ~path json =
-  let oc = open_out path in
-  Obs.Json.to_channel oc json;
-  close_out oc
-
-let timed_run f =
-  reset_run_metrics ();
-  (* Per-run span attribution: each timed scenario starts from clean
-     accumulators, so its report's profile section describes that run
-     alone. *)
-  if Obs.Prof.enabled () then begin
-    Obs.Prof.reset ();
-    Obs.Prof.set_enabled true
-  end;
+let timed_run ?config ~id f =
+  let config = match config with Some c -> c | None -> Obs.Runtime.current () in
+  Obs.Runtime.with_run config @@ fun () ->
+  Acdc.Int_feedback.reset ();
   let events0 = Engine.total_events_processed () in
   let t0 = Unix.gettimeofday () in
-  f ();
+  let report = f () in
   let wall_s = Unix.gettimeofday () -. t0 in
-  (wall_s, Engine.total_events_processed () - events0)
+  let events = Engine.total_events_processed () - events0 in
+  Obs.Report.add_int report "events" events;
+  Obs.Report.add_scalar report "events_per_sec"
+    (if wall_s > 0.0 then float_of_int events /. wall_s else 0.0);
+  Format.printf "  [%s finished in %.1fs]@." id wall_s;
+  report

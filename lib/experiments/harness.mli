@@ -48,7 +48,7 @@ val new_timeseries : ?default_budget:int -> Fabric.Topology.t -> Obs.Timeseries.
 
 val finish_timeseries : Obs.Timeseries.t -> unit
 (** Stop all probes (so the event queue can drain on the next run) and
-    export CSVs if the ambient {!Obs.Runtime} time-series sink is set.
+    export CSVs if the current run has a time-series directory.
     Call once the run is over, before tearing the topology down. *)
 
 val report_of_run :
@@ -61,9 +61,9 @@ val report_of_run :
   Obs.Report.t
 (** Assemble a {!Obs.Report} from a finished run: scheme label and extra
     [config] pairs, flow count plus [aggregate_goodput_gbps] from
-    [goodputs], a snapshot of the ambient metrics registry, and the run's
-    time-series embedded.  Callers add run-specific scalars and percentile
-    summaries on the result before writing it. *)
+    [goodputs], the run's time-series embedded, and the current run's
+    sections ({!Obs.Runtime.add_sections}).  Callers add run-specific
+    scalars and percentile summaries on the result before writing it. *)
 
 (** {2 Output helpers} *)
 
@@ -81,24 +81,17 @@ val pctl : Dcstats.Samples.t -> float -> float
 (** Percentile that returns [nan] on an empty sample set instead of
     raising. *)
 
-(** {2 Per-run metric snapshots}
+(** {2 Per-run reports}
 
-    Experiments register their counters in the ambient
-    {!Obs.Runtime.metrics} registry; the driver brackets each run with
-    [timed_run] and emits a JSON sidecar per figure. *)
+    A command-line tool runs each experiment with [timed_run], nested in
+    its own {!Obs.Runtime.with_run} bracket, and gets back one report per
+    experiment. *)
 
-val reset_run_metrics : unit -> unit
-(** Zero the ambient registry — call before a run for a per-run view. *)
-
-val metrics_json : unit -> Obs.Json.t
-(** Snapshot of the ambient registry. *)
-
-val timed_run : (unit -> unit) -> float * int
-(** [timed_run f] resets the run metrics, runs [f], and returns
-    [(wall_seconds, simulator_events_fired)]. *)
-
-val run_sidecar : id:string -> wall_s:float -> events:int -> Obs.Json.t
-(** One experiment's machine-readable summary: id, wall time, events/sec
-    and the metric snapshot (call right after [timed_run]). *)
-
-val write_json : path:string -> Obs.Json.t -> unit
+val timed_run :
+  ?config:Obs.Runtime.config -> id:string -> (unit -> Obs.Report.t) -> Obs.Report.t
+(** [timed_run ~id f] runs [f] in a nested run bracket with the INT
+    feedback registry cleared — [config] defaults to the enclosing run's
+    sinks ({!Obs.Runtime.current}), with fresh accumulators — and returns
+    the report [f] builds (normally with {!report_of_run}) plus the
+    [events] the simulator fired during [f] and their [events_per_sec]
+    rate.  Prints ["[<id> finished in <s>s]"]. *)

@@ -16,6 +16,11 @@ let all () = List.rev !registered
 let find id = List.find_opt (fun e -> String.equal e.id id) !registered
 let ids () = List.map (fun e -> e.id) (all ())
 
+let check ?(extra = []) requested =
+  match List.filter (fun id -> find id = None && not (List.mem id extra)) requested with
+  | [] -> Ok ()
+  | unknown -> Error ("unknown experiment(s): " ^ String.concat ", " unknown)
+
 (* Registry-level parameter overrides go into [config] so content-addressed
    cache keys distinguish variants of one figure; each experiment's
    scaled-down defaults live in its own module and are covered by the code

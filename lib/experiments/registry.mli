@@ -22,3 +22,8 @@ val all : unit -> entry list
 
 val find : string -> entry option
 val ids : unit -> string list
+
+val check : ?extra:string list -> string list -> (unit, string) result
+(** Validate a command line's ids before anything runs: [Error] names,
+    in order, every id that is neither registered nor in [extra] (a
+    tool's own scenarios). *)

@@ -71,17 +71,15 @@ let bench_smoke ~exe =
           [
             exe;
             "smoke";
-            "-o";
-            Filename.concat dir "BENCH.json";
             "--report";
             report;
             (* Profile every cached smoke run: the report grows a profile
                section (dashboard panel, ns/packet baselines) and the
-               folded stacks become a cached artifact next to BENCH.json. *)
+               folded stacks become a cached artifact next to the report. *)
             "--profile=" ^ Filename.concat dir "profile.folded";
             (* Trace + pcap cover the INT- and attribution-enabled
-               simulation portion (closed before the cpu microbench), so
-               CI can run `trace_query validate` against the farm's own
+               simulation (the cpu microbench runs with every sink off),
+               so CI can run `trace_query validate` against the farm's own
                cached smoke artifacts. *)
             "--trace";
             Filename.concat dir "trace.jsonl";

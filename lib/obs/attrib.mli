@@ -75,8 +75,8 @@ val set_enabled : t -> bool -> unit
 
 val reset : t -> unit
 (** Drop all tracked flows, completed snapshots and watch registrations.
-    The enabled flag is left as-is (per-run reset, like
-    {!Runtime.reset_metrics}). *)
+    The enabled flag is left as-is ({!Runtime.with_run} resets the
+    ambient instance on entry). *)
 
 val start : t -> now:Eventsim.Time_ns.t -> Dcpkt.Flow_key.t -> unit
 (** Begin tracking [flow] (the data direction) in state [Handshake] at

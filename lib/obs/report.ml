@@ -131,10 +131,12 @@ let to_json t =
     | None -> fields
     | Some j -> fields @ [ ("fct_attrib", j) ])
 
-let write t ~path =
+let write_json json ~path =
   let oc = open_out path in
-  Json.to_channel oc (to_json t);
+  Json.to_channel oc json;
   close_out oc
+
+let write t ~path = write_json (to_json t) ~path
 
 (* ------------------------------------------------------------------ *)
 (* Corpus reading and merging — the farm's view of many reports.       *)
@@ -166,3 +168,9 @@ let merge_corpus ?(schema = "acdc-corpus/1") ?(extra = []) entries =
   Json.Obj
     ((("schema", Json.String schema) :: extra)
     @ [ ("scenarios", Json.List (List.map entry sorted)) ])
+
+let write_runs reports ~path =
+  write_json ~path
+    (match reports with
+    | [ t ] -> to_json t
+    | ts -> merge_corpus (List.map (fun t -> (t.id, to_json t)) ts))

@@ -68,7 +68,7 @@ val write : t -> path:string -> unit
     format. *)
 
 val read_file : path:string -> (Json.t, string) result
-(** Parse any report-shaped artifact ([acdc-report/1], [acdc-bench/1],
+(** Parse any report-shaped artifact ([acdc-report/1], [acdc-corpus/1],
     ...) back into JSON.  [Error] on unreadable files, parse failures, or
     documents without a string ["schema"] field. *)
 
@@ -79,3 +79,8 @@ val merge_corpus :
     output is byte-identical however the inputs were produced or ordered;
     each body object's fields are inlined after its ["id"].  [extra]
     fields (e.g. the code fingerprint) follow ["schema"]. *)
+
+val write_runs : t list -> path:string -> unit
+(** A command-line tool's [--report] artifact: one run's report as {!write} does,
+    several runs as one {!merge_corpus} document with an entry per report,
+    keyed by its id. *)

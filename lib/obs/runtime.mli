@@ -1,115 +1,88 @@
-(** The ambient observability context.
+(** The ambient observability context: the current run's sinks.
 
-    Simulator components pick up their metrics registry and tracer from
-    here at construction time (overridable per component via [?metrics] /
-    [?tracer] arguments).  Drivers — the experiment CLI, the bench, tests —
-    configure the ambient context *before* building a topology, which is
-    how experiments opt into tracing without code changes:
+    Simulator components pick up the metrics registry, tracer and pcap
+    sink from here at construction time; hosts read the INT sink and the
+    attribution instance per packet.  Entry points — the experiment CLI, the
+    bench, tests — configure a run with {!with_run}, which owns every
+    sink's lifetime:
 
     {[
-      Obs.Runtime.trace_to_file "run.jsonl";   (* or set_tracer (ring ()) *)
-      (* ... build topology, run ... *)
-      Obs.Runtime.close_trace ()
+      Obs.Runtime.with_run
+        { Obs.Runtime.off with trace = File "run.jsonl"; attrib = true }
+        (fun () ->
+          (* ... build topology, run, Obs.Runtime.add_sections report ... *))
+      (* run.jsonl is flushed and closed; the enclosing sinks are back *)
     ]}
 
-    The ambient tracer defaults to {!Trace.null}: tracing is off, and the
-    hot paths pay one branch per event. *)
+    Outside any bracket the context is {!off}: tracing and capture go to
+    {!Trace.null} / {!Pcap.null} and the hot paths pay one branch per
+    event.  {!set_tracer} and the sinks' own [set_enabled] flags act on
+    the current context directly (the benchmark harness drives the
+    top-level context that way). *)
+
+type 'a sink =
+  | Sink of 'a  (** a caller-owned sink ({!Trace.null} / {!Pcap.null} for off) *)
+  | File of string  (** opened (truncating) on entry, flushed and closed on exit *)
+
+type profile =
+  | Unprofiled
+  | Profiled of string option
+      (** collect spans; with [Some path], write flamegraph-compatible
+          folded stacks there when the run returns — unless a run nested
+          in it, which inherits the path through {!current}, already did:
+          the file then holds the last nested run's spans *)
+
+type config = {
+  trace : Trace.t sink;  (** JSONL events for a [File] *)
+  pcap : Pcap.t sink;  (** format of a [File] follows {!Pcap.format_of_path} *)
+  profile : profile;
+  timeseries : string option;  (** directory {!export_timeseries} writes CSVs into *)
+  int : bool;  (** switches stamp in-band telemetry ({!Dcpkt.Int_meta.set_enabled}) *)
+  attrib : bool;  (** causal FCT attribution ({!Attrib.set_enabled}) *)
+}
+
+val off : config
+(** Every sink off. *)
+
+val current : unit -> config
+(** The current run's sinks, as [Sink] values: a run nested with
+    [{ (current ()) with ... }] shares its enclosing run's tracer, capture,
+    profiler and folded-stacks path, and opens no file. *)
+
+val with_run : config -> (unit -> 'a) -> 'a
+(** [with_run config f] runs [f] with [config]'s sinks installed.  On
+    entry it resets the metrics registry, the INT sink, the attribution
+    instance and the profiler's accumulators, so the run's report sections
+    describe it alone.  On exit, also by exception, it closes the files it
+    opened and restores the enclosing context; the accumulators keep the
+    run's numbers until the next run starts.  Nests to any depth.  Raises
+    [Sys_error] if a [File] cannot be opened. *)
+
+val add_sections : Report.t -> unit
+(** Snapshot the current run into [report]: the metrics registry, plus
+    the profile section and its cost baselines, the INT section and the
+    FCT attribution section, each only when the run touched it.  This is
+    the one place that decides which sections a run's report carries. *)
 
 val metrics : unit -> Metrics.t
-(** The process-global registry.  Drivers call {!reset_metrics} between
-    runs for per-run snapshots. *)
-
 val tracer : unit -> Trace.t
+
 val set_tracer : Trace.t -> unit
-
-val trace_to_file : string -> unit
-(** Open [path] (truncating) and stream JSONL events to it; replaces any
-    tracer previously installed by [trace_to_file]. *)
-
-val close_trace : unit -> unit
-(** Flush and close a [trace_to_file] sink and reset the tracer to
-    {!Trace.null}.  No-op otherwise. *)
-
-val reset_metrics : unit -> unit
-
-(** {2 Packet capture sink}
-
-    Like the tracer, the pcap sink is ambient: capture taps (transmit
-    queues, impaired links, vSwitch edges) pick it up at construction, so
-    a driver that wants a capture installs one before building the
-    topology ([acdc_expt --pcap FILE] does). *)
+(** Replace the current run's tracer (for example to wrap it in a
+    {!Trace.filter_of_spec} filter); the enclosing run's tracer comes back
+    when the bracket exits. *)
 
 val pcap : unit -> Pcap.t
-val set_pcap : Pcap.t -> unit
-
-val pcap_to_file : string -> unit
-(** Open [path] (truncating, binary) and stream a capture to it; the
-    format follows {!Pcap.format_of_path}.  Replaces any sink previously
-    installed by [pcap_to_file]. *)
-
-val close_pcap : unit -> unit
-(** Flush and close a [pcap_to_file] sink and reset the sink to
-    {!Pcap.null}.  No-op otherwise. *)
-
-(** {2 Profiling}
-
-    The profiler is ambient by construction — {!Prof} (= [Profcore]) keeps
-    its accumulators in globals so the hot paths pay one load-and-branch
-    when it is off.  Drivers enable it for a whole run:
-
-    {[
-      Obs.Runtime.profile_to ~folded:"profile.folded" ();
-      (* ... build topology, run ... *)
-      Obs.Runtime.close_profile ()   (* writes the folded stacks *)
-    ]} *)
-
-val profile_to : ?folded:string -> unit -> unit
-(** Reset all profiling state and enable span collection.  When [folded]
-    is given, {!close_profile} writes flamegraph-compatible folded stacks
-    there. *)
-
-val profiling : unit -> bool
-(** Whether span collection is currently enabled. *)
-
-val close_profile : unit -> unit
-(** Write the folded-stacks file if one was requested (and any spans were
-    recorded), then disable collection.  Accumulated statistics survive —
-    reports rendered afterwards still see them. *)
-
-(** {2 Time-series export sink}
-
-    Like the tracer, the time-series sink is ambient: a driver that wants
-    CSV dumps sets a directory before running ([acdc_expt --timeseries DIR]
-    does), and instrumented experiments hand their {!Timeseries.t} to
-    {!export_timeseries} when the run ends — a no-op unless a sink is
-    configured, so experiments always call it unconditionally. *)
-
-val set_timeseries_sink : dir:string -> unit
-val clear_timeseries_sink : unit -> unit
-val timeseries_dir : unit -> string option
 
 val export_timeseries : Timeseries.t -> unit
-(** {!Timeseries.write_csv_dir} into the configured sink directory, or a
-    no-op when none is set. *)
-
-(** {2 In-band telemetry sink}
-
-    The ambient {!Int_sink} receiving every INT stack the fabric's hosts
-    strip.  Hosts pick it up per strip (not at construction), so enabling
-    INT mid-process needs no rebuild; drivers reset it between runs like
-    the metrics registry. *)
+(** {!Timeseries.write_csv_dir} into the current run's time-series
+    directory, or a no-op when it has none — so instrumented experiments
+    call it unconditionally. *)
 
 val int_sink : unit -> Int_sink.t
-val reset_int_sink : unit -> unit
-
-(** {2 Causal FCT attribution}
-
-    The ambient {!Attrib} instance.  Send-decision points in the TCP
-    endpoint, the AC/DC sender and the fabric hosts feed it when it is
-    enabled ([Attrib.set_enabled (attrib ()) true] — the [--attrib] flag
-    on the experiment driver does); disabled it costs the hot paths one
-    load and one branch.  Drivers reset it between runs like the metrics
-    registry. *)
+(** Receives every INT stack the fabric's hosts strip. *)
 
 val attrib : unit -> Attrib.t
-val reset_attrib : unit -> unit
+(** Fed by the send-decision points of the TCP endpoint, the AC/DC sender
+    and the fabric hosts while enabled; disabled it costs the hot paths
+    one load and one branch. *)

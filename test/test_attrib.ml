@@ -192,16 +192,8 @@ let test_transitions_emitted () =
 
 let test_endpoint_integration () =
   Dcpkt.Packet.reset_ids ();
-  Obs.Runtime.reset_attrib ();
+  Obs.Runtime.with_run { Obs.Runtime.off with attrib = true; int = true } @@ fun () ->
   let attrib = Obs.Runtime.attrib () in
-  Obs.Attrib.set_enabled attrib true;
-  let int_was = Dcpkt.Int_meta.enabled () in
-  Dcpkt.Int_meta.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Attrib.set_enabled attrib false;
-      Dcpkt.Int_meta.set_enabled int_was)
-  @@ fun () ->
   let params = Fabric.Params.with_ecn Fabric.Params.default in
   let engine = Engine.create () in
   let ts = Obs.Timeseries.create engine in
@@ -253,7 +245,7 @@ let test_endpoint_integration () =
   Alcotest.(check bool) "watched channels recorded" true
     (watched <> [] && List.for_all (fun ch -> Obs.Timeseries.recorded ch > 0) watched);
   (* The report section is well-formed and matches the tracked state. *)
-  (match Attrib.to_json attrib with
+  match Attrib.to_json attrib with
   | Json.Obj fields ->
     (match List.assoc "flows" fields with
     | Json.Int n -> check_int "report flows" 2 n
@@ -264,8 +256,7 @@ let test_endpoint_integration () =
     (match List.assoc "rows" fields with
     | Json.List rows -> check_int "report rows" 2 (List.length rows)
     | _ -> Alcotest.fail "rows not a list")
-  | _ -> Alcotest.fail "fct_attrib not an object");
-  Obs.Runtime.reset_attrib ()
+  | _ -> Alcotest.fail "fct_attrib not an object"
 
 let () =
   Alcotest.run "attrib"

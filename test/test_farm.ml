@@ -217,6 +217,22 @@ let test_registry_collision_checked () =
   | Some e -> check_string "original survives" "scratch" e.Experiments.Registry.title
   | None -> Alcotest.fail "registered entry vanished"
 
+(* acdc_expt and the bench validate their command line with [check]
+   before anything runs; the bench's own scenarios pass through [extra]. *)
+let test_registry_check () =
+  let check = Experiments.Registry.check in
+  check_bool "registered ids accepted" true (check [ "fig9"; "fig2" ] = Ok ());
+  check_bool "no ids accepted" true (check [] = Ok ());
+  (match check [ "fig9"; "nosuch-fig"; "smoke"; "nope" ] with
+  | Error msg ->
+    check_string "unknown ids named in order" "unknown experiment(s): nosuch-fig, smoke, nope"
+      msg
+  | Ok () -> Alcotest.fail "unknown ids accepted");
+  check_bool "extra ids accepted" true (check ~extra:[ "smoke" ] [ "smoke"; "fig9" ] = Ok ());
+  match check ~extra:[ "smoke" ] [ "smoke"; "cpu" ] with
+  | Error msg -> check_string "extra does not widen beyond itself" "unknown experiment(s): cpu" msg
+  | Ok () -> Alcotest.fail "an id outside extra was accepted"
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -244,5 +260,6 @@ let () =
           Alcotest.test_case "ids unique" `Quick test_registry_ids_unique;
           Alcotest.test_case "collision-checked registration" `Quick
             test_registry_collision_checked;
+          Alcotest.test_case "check rejects unknown ids" `Quick test_registry_check;
         ] );
     ]

@@ -544,14 +544,11 @@ let test_sequential_app_ordering () =
 (* In-band telemetry                                                   *)
 
 (* INT is process-global state (enable flag, ambient sink, feedback
-   registry), so every test scrubs it on the way in and restores the
-   default-off flag on the way out. *)
-let with_int f =
-  Obs.Runtime.reset_metrics ();
-  Obs.Runtime.reset_int_sink ();
+   registry): every test runs in its own INT-on run, with the feedback
+   registry scrubbed on the way in. *)
+let with_int ?(trace = Obs.Runtime.off.trace) f =
   Acdc.Int_feedback.reset ();
-  Dcpkt.Int_meta.set_enabled true;
-  Fun.protect ~finally:(fun () -> Dcpkt.Int_meta.set_enabled false) f
+  Obs.Runtime.with_run { Obs.Runtime.off with int = true; trace } f
 
 (* The stamps and the txq sojourn instruments observe the same two
    instants (admission, serialization-complete) through independent code
@@ -631,11 +628,9 @@ let test_int_option_space_exceeded () =
    clock and deterministic hop-id registration, nothing wall-clock. *)
 let test_int_trace_deterministic () =
   let one_run () =
-    with_int @@ fun () ->
     Dcpkt.Packet.reset_ids ();
     let buf = Buffer.create 65536 in
-    Obs.Runtime.set_tracer (Obs.Trace.jsonl ~write:(Buffer.add_string buf));
-    Fun.protect ~finally:(fun () -> Obs.Runtime.set_tracer Obs.Trace.null) @@ fun () ->
+    with_int ~trace:(Sink (Obs.Trace.jsonl ~write:(Buffer.add_string buf))) @@ fun () ->
     let scheme = Experiments.Harness.acdc () in
     let net = Experiments.Harness.dumbbell scheme ~pairs:2 () in
     let conns = Experiments.Harness.long_lived_pairs net scheme ~pairs:2 in
@@ -661,15 +656,13 @@ let test_int_trace_deterministic () =
 let test_run_byte_identity () =
   let one_run () =
     Dcpkt.Packet.reset_ids ();
-    Experiments.Harness.reset_run_metrics ();
     let trace_buf = Buffer.create 65536 and pcap_buf = Buffer.create 65536 in
-    Obs.Runtime.set_tracer (Obs.Trace.jsonl ~write:(Buffer.add_string trace_buf));
-    Obs.Runtime.set_pcap
-      (Obs.Pcap.create ~format:Obs.Pcap.Pcapng ~write:(Buffer.add_string pcap_buf));
-    Fun.protect
-      ~finally:(fun () ->
-        Obs.Runtime.set_tracer Obs.Trace.null;
-        Obs.Runtime.set_pcap Obs.Pcap.null)
+    Obs.Runtime.with_run
+      {
+        Obs.Runtime.off with
+        trace = Sink (Obs.Trace.jsonl ~write:(Buffer.add_string trace_buf));
+        pcap = Sink (Obs.Pcap.create ~format:Obs.Pcap.Pcapng ~write:(Buffer.add_string pcap_buf));
+      }
     @@ fun () ->
     let scheme = Experiments.Harness.acdc () in
     let net = Experiments.Harness.dumbbell scheme ~pairs:2 () in
@@ -695,6 +688,130 @@ let test_run_byte_identity () =
   check_bool "pcap bytes identical" true (String.equal pa pb)
 
 (* ------------------------------------------------------------------ *)
+(* Sink purity                                                         *)
+
+(* A seeded 2-pair AC/DC dumbbell with switch probes, run in its own
+   bracket: the simulator events it fired and its report as JSON. *)
+let purity_run config =
+  Dcpkt.Packet.reset_ids ();
+  Acdc.Int_feedback.reset ();
+  Obs.Runtime.with_run config @@ fun () ->
+  let events0 = Engine.total_events_processed () in
+  let scheme = Experiments.Harness.acdc () in
+  let net = Experiments.Harness.dumbbell scheme ~pairs:2 () in
+  let conns = Experiments.Harness.long_lived_pairs net scheme ~pairs:2 in
+  let ts = Experiments.Harness.new_timeseries net in
+  Array.iter
+    (fun sw -> Netsim.Switch.register_probes sw ~ts ~interval:(Time_ns.us 200) ())
+    net.Topology.switches;
+  let goodputs =
+    Experiments.Harness.measure_goodput net conns ~warmup:(Time_ns.ms 5)
+      ~duration:(Time_ns.ms 15)
+  in
+  Experiments.Harness.finish_timeseries ts;
+  Topology.shutdown net;
+  let report =
+    Experiments.Harness.report_of_run ~id:"purity" ~scheme ~goodputs ~timeseries:ts ()
+  in
+  (Engine.total_events_processed () - events0, Obs.Report.to_json report)
+
+(* Every top-level report section except [scalars] (the profile adds its
+   wall-clock baselines there) and the sink's own section. *)
+let sections ~except json =
+  match json with
+  | Obs.Json.Obj fields ->
+    List.filter_map
+      (fun (key, v) ->
+        if key = "scalars" || List.mem key except then None
+        else Some (key, Obs.Json.to_string v))
+      fields
+  | _ -> Alcotest.fail "report is not an object"
+
+(* Trace, pcap, profile, attribution and timeseries export are pure: a run
+   with the sink on fires the same events and reports the same
+   deterministic sections as with every sink off.  INT is perturbing: the
+   option it stamps grows packets, so the run itself changes. *)
+let test_sink_purity () =
+  let off_events, off_report = purity_run Obs.Runtime.off in
+  let ts_dir = Filename.temp_dir "acdc-purity" "" in
+  let pure =
+    [
+      ("trace", [], { Obs.Runtime.off with trace = Sink (Obs.Trace.jsonl ~write:ignore) });
+      ( "pcap",
+        [],
+        { Obs.Runtime.off with pcap = Sink (Obs.Pcap.create ~format:Pcapng ~write:ignore) } );
+      ("profile", [ "profile" ], { Obs.Runtime.off with profile = Profiled None });
+      ("attrib", [ "fct_attrib" ], { Obs.Runtime.off with attrib = true });
+      ("timeseries", [], { Obs.Runtime.off with timeseries = Some ts_dir });
+    ]
+  in
+  List.iter
+    (fun (sink, own, config) ->
+      let events, report = purity_run config in
+      check_int (sink ^ ": same events") off_events events;
+      Alcotest.(check (list (pair string string)))
+        (sink ^ ": deterministic sections identical")
+        (sections ~except:own off_report) (sections ~except:own report);
+      match (sink, report) with
+      | ("profile" | "attrib"), Obs.Json.Obj fields ->
+        check_bool (sink ^ ": its own section present") true (List.mem_assoc (List.hd own) fields)
+      | _ -> ())
+    pure;
+  let csvs = Sys.readdir ts_dir in
+  check_bool "timeseries sink wrote CSVs" true (Array.length csvs > 0);
+  Array.iter (fun f -> Sys.remove (Filename.concat ts_dir f)) csvs;
+  Sys.rmdir ts_dir;
+  let int_events, _ = purity_run { Obs.Runtime.off with int = true } in
+  check_bool
+    (Printf.sprintf "INT perturbs the run (%d events off, %d with INT)" off_events int_events)
+    true (int_events <> off_events)
+
+(* ------------------------------------------------------------------ *)
+(* Per-id reports                                                      *)
+
+(* A multi-id command-line run yields one report per id, each with its own
+   run's metrics (a single report used to carry only the last id's): an
+   id's corpus entry matches the same id run alone. *)
+let test_multi_id_reports () =
+  let run id ~pairs =
+    Experiments.Harness.timed_run ~config:Obs.Runtime.off ~id (fun () ->
+        Dcpkt.Packet.reset_ids ();
+        let scheme = Experiments.Harness.acdc () in
+        let net = Experiments.Harness.dumbbell scheme ~pairs () in
+        let conns = Experiments.Harness.long_lived_pairs net scheme ~pairs in
+        ignore
+          (Experiments.Harness.measure_goodput net conns ~warmup:(Time_ns.ms 2)
+             ~duration:(Time_ns.ms 8));
+        Topology.shutdown net;
+        Experiments.Harness.report_of_run ~id ())
+  in
+  let reports = [ run "two-pairs" ~pairs:2; run "one-pair" ~pairs:1 ] in
+  let solo = Obs.Report.to_json (run "one-pair" ~pairs:1) in
+  let path = Filename.temp_file "acdc-multi" ".json" in
+  Obs.Report.write_runs reports ~path;
+  let corpus = Obs.Report.read_file ~path in
+  Sys.remove path;
+  let member key json = Option.get (Obs.Json.member key json) in
+  match corpus with
+  | Error msg -> Alcotest.fail msg
+  | Ok corpus -> (
+    Alcotest.(check string) "one corpus" "acdc-corpus/1"
+      (match member "schema" corpus with Obs.Json.String s -> s | _ -> "");
+    match member "scenarios" corpus with
+    | Obs.Json.List [ a; b ] ->
+      let id e = match member "id" e with Obs.Json.String s -> s | _ -> "" in
+      Alcotest.(check (list string)) "one entry per id" [ "one-pair"; "two-pairs" ] [ id a; id b ];
+      List.iter
+        (fun e ->
+          Alcotest.(check string) (id e ^ " is a run report") "acdc-report/1"
+            (match member "schema" e with Obs.Json.String s -> s | _ -> ""))
+        [ a; b ];
+      let metrics e = Obs.Json.to_string (member "metrics" e) in
+      check_bool "per-id metric snapshots differ" false (metrics a = metrics b);
+      Alcotest.(check string) "an id's entry matches its solo run" (metrics solo) (metrics a)
+    | _ -> Alcotest.fail "expected two corpus entries")
+
+(* ------------------------------------------------------------------ *)
 (* Datapath allocation ceiling                                         *)
 
 (* Minor words allocated per switch-forwarded packet in the steady state
@@ -706,23 +823,7 @@ let test_run_byte_identity () =
 let words_per_pkt_ceiling = 12.0
 
 let test_datapath_allocation_ceiling () =
-  let attrib = Obs.Runtime.attrib () in
-  let int_was = Dcpkt.Int_meta.enabled () and attrib_was = Obs.Attrib.enabled attrib in
-  let tracer_was = Obs.Runtime.tracer () and pcap_was = Obs.Runtime.pcap () in
-  let prof_was = Obs.Prof.enabled () in
-  Dcpkt.Int_meta.set_enabled false;
-  Obs.Attrib.set_enabled attrib false;
-  Obs.Runtime.set_tracer Obs.Trace.null;
-  Obs.Runtime.set_pcap Obs.Pcap.null;
-  Obs.Prof.set_enabled false;
-  Fun.protect
-    ~finally:(fun () ->
-      Dcpkt.Int_meta.set_enabled int_was;
-      Obs.Attrib.set_enabled attrib attrib_was;
-      Obs.Runtime.set_tracer tracer_was;
-      Obs.Runtime.set_pcap pcap_was;
-      Obs.Prof.set_enabled prof_was)
-  @@ fun () ->
+  Obs.Runtime.with_run Obs.Runtime.off @@ fun () ->
   let params = Params.with_ecn Params.default in
   let engine = Engine.create () in
   let pairs = 4 in
@@ -794,6 +895,11 @@ let () =
       ( "datapath",
         [
           Alcotest.test_case "allocation ceiling" `Quick test_datapath_allocation_ceiling;
+        ] );
+      ( "sinks",
+        [
+          Alcotest.test_case "pure sinks leave the run unchanged" `Quick test_sink_purity;
+          Alcotest.test_case "one report per id" `Quick test_multi_id_reports;
         ] );
       ( "topologies",
         [

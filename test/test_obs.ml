@@ -112,7 +112,7 @@ let trace_of_run () =
   Dcpkt.Packet.reset_ids ();
   let buf = Buffer.create 4096 in
   let tracer = Trace.jsonl ~write:(fun l -> Buffer.add_string buf l; Buffer.add_char buf '\n') in
-  Obs.Runtime.set_tracer tracer;
+  Obs.Runtime.with_run { Obs.Runtime.off with trace = Sink tracer } @@ fun () ->
   let params = Fabric.Params.with_ecn Fabric.Params.default in
   let engine = Engine.create () in
   let net =
@@ -135,7 +135,6 @@ let trace_of_run () =
   ignore conns;
   Engine.run ~until:(Time_ns.ms 5) engine;
   Fabric.Topology.shutdown net;
-  Obs.Runtime.set_tracer Trace.null;
   Buffer.contents buf
 
 let test_jsonl_determinism () =
@@ -454,6 +453,85 @@ let test_json_non_finite () =
     check_string "and re-prints as null" "[null]" (Json.to_string (Json.List [ Json.Float f ]))
   | _ -> Alcotest.fail "expected a one-float list"
 
+(* ------------------------------------------------------------------ *)
+(* Run brackets                                                        *)
+
+module Runtime = Obs.Runtime
+
+let attrib_on () = Obs.Attrib.enabled (Runtime.attrib ())
+
+(* A nested run installs its own sinks and flags; on return and on
+   exception alike the enclosing run's come back, and outside every
+   bracket the context is off again. *)
+let test_nested_run_restores () =
+  let outer_trace = Trace.ring () in
+  let outer_pcap = Obs.Pcap.create ~format:Obs.Pcap.Pcap ~write:ignore in
+  let inner_trace = Trace.ring () in
+  let inner = { Runtime.off with trace = Sink inner_trace; int = true } in
+  let check_outer label =
+    Alcotest.(check bool) (label ^ ": tracer") true (Runtime.tracer () == outer_trace);
+    Alcotest.(check bool) (label ^ ": pcap") true (Runtime.pcap () == outer_pcap);
+    Alcotest.(check bool) (label ^ ": INT off") false (Dcpkt.Int_meta.enabled ());
+    Alcotest.(check bool) (label ^ ": attrib on") true (attrib_on ())
+  in
+  (Runtime.with_run
+     { Runtime.off with trace = Sink outer_trace; pcap = Sink outer_pcap; attrib = true }
+  @@ fun () ->
+   check_outer "outer";
+   Runtime.with_run inner (fun () ->
+       Alcotest.(check bool) "inner tracer" true (Runtime.tracer () == inner_trace);
+       Alcotest.(check bool) "inner pcap off" true (Runtime.pcap () == Obs.Pcap.null);
+       Alcotest.(check bool) "inner INT on" true (Dcpkt.Int_meta.enabled ());
+       Alcotest.(check bool) "inner attrib off" false (attrib_on ()));
+   check_outer "after return";
+   (match Runtime.with_run inner (fun () -> failwith "inner run failed") with
+   | () -> Alcotest.fail "exception swallowed"
+   | exception Failure _ -> ());
+   check_outer "after exception");
+  Alcotest.(check bool) "top level: tracer off" true (Runtime.tracer () == Trace.null);
+  Alcotest.(check bool) "top level: pcap off" true (Runtime.pcap () == Obs.Pcap.null);
+  Alcotest.(check bool) "top level: INT off" false (Dcpkt.Int_meta.enabled ());
+  Alcotest.(check bool) "top level: attrib off" false (attrib_on ())
+
+(* A [File] sink is flushed and closed when its run exits, also by
+   exception, and a nested [current ()] run writes into the same file. *)
+let test_run_owns_files () =
+  let path = Filename.temp_file "acdc-run" ".jsonl" in
+  let emit () =
+    Trace.emit (Runtime.tracer ()) ~now:(Time_ns.us 1)
+      (Trace.Delivered { node = "h0"; pkt = 1 })
+  in
+  (match
+     Runtime.with_run { Runtime.off with trace = File path } (fun () ->
+         emit ();
+         Runtime.with_run (Runtime.current ()) emit;
+         failwith "run failed")
+   with
+  | () -> Alcotest.fail "exception swallowed"
+  | exception Failure _ -> ());
+  let lines = In_channel.with_open_text path In_channel.input_all in
+  Sys.remove path;
+  check_int "both events flushed to the file" 2
+    (List.length (List.filter (( <> ) "") (String.split_on_char '\n' lines)));
+  Alcotest.(check bool) "tracer off again" true (Runtime.tracer () == Trace.null)
+
+(* Entering a run zeroes the accumulators its report sections read. *)
+let test_run_resets_accumulators () =
+  let c = Metrics.counter (Runtime.metrics ()) "test.runtime.resets" in
+  Metrics.add c 5;
+  Runtime.with_run Runtime.off (fun () -> check_int "fresh registry" 0 (Metrics.value c));
+  let report = Obs.Report.create ~id:"sections" () in
+  Runtime.with_run Runtime.off (fun () -> Runtime.add_sections report);
+  match Obs.Report.to_json report with
+  | Json.Obj fields ->
+    List.iter
+      (fun key ->
+        Alcotest.(check bool) (key ^ " absent when untouched") false (List.mem_assoc key fields))
+      [ "profile"; "int"; "fct_attrib" ];
+    Alcotest.(check bool) "metrics always present" true
+      (List.assoc "metrics" fields <> Json.Null)
+  | _ -> Alcotest.fail "report is not an object"
+
 let () =
   Alcotest.run "obs"
     [
@@ -488,4 +566,11 @@ let () =
           Alcotest.test_case "non-finite floats" `Quick test_json_non_finite;
         ] );
       ("decoders", [ QCheck_alcotest.to_alcotest prop_trace_decoder_total ]);
+      ( "runtime",
+        [
+          Alcotest.test_case "nested run restores the enclosing sinks" `Quick
+            test_nested_run_restores;
+          Alcotest.test_case "run owns its files" `Quick test_run_owns_files;
+          Alcotest.test_case "run resets accumulators" `Quick test_run_resets_accumulators;
+        ] );
     ]

@@ -195,9 +195,23 @@ let test_ids_unique () =
   let b = Packet.make ~key ~payload:0 () in
   check_bool "distinct ids" true (a.Packet.id <> b.Packet.id)
 
+(* Decoder robustness: a mutated frame (bit flips, truncation, trailing
+   junk) decodes to [Ok] or [Error], never an exception. *)
+let prop_of_wire_total =
+  QCheck.Test.make ~name:"mutated frames decode to Ok or Error" ~count:2000
+    QCheck.(pair (make wire_packet_gen) Mutation.arbitrary)
+    (fun (pkt, mutations) ->
+      match Packet.of_wire (Mutation.apply_all (Packet.to_wire pkt) mutations) with
+      | Ok _ | Error _ -> true)
+
 let qtests =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_reverse_involution; prop_compare_consistent_with_equal; prop_wire_roundtrip ]
+    [
+      prop_reverse_involution;
+      prop_compare_consistent_with_equal;
+      prop_wire_roundtrip;
+      prop_of_wire_total;
+    ]
 
 let () =
   Alcotest.run "packet"

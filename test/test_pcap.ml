@@ -236,7 +236,7 @@ let capture_of_run format =
   Packet.reset_ids ();
   let buf = Buffer.create 65536 in
   let sink = Pcap.create ~format ~write:(Buffer.add_string buf) in
-  Obs.Runtime.set_pcap sink;
+  Obs.Runtime.with_run { Obs.Runtime.off with pcap = Sink sink } @@ fun () ->
   let params = Fabric.Params.with_ecn Fabric.Params.default in
   let engine = Engine.create () in
   let net =
@@ -255,7 +255,6 @@ let capture_of_run format =
     [ 0; 1 ];
   Engine.run ~until:(Time_ns.ms 5) engine;
   Fabric.Topology.shutdown net;
-  Obs.Runtime.set_pcap Pcap.null;
   (Buffer.contents buf, Pcap.frames sink)
 
 let test_run_capture_deterministic () =
@@ -291,6 +290,21 @@ let test_run_capture_roundtrips () =
     check_bool "vm edge tap present" true
       (List.exists (fun n -> Filename.check_suffix n ".vm") ifaces)
 
+(* ------------------------------------------------------------------ *)
+(* Decoder robustness: a mutated capture (bit flips, truncation,
+   trailing junk) reads as [Ok] or [Error], never an exception.         *)
+
+let prop_read_total format =
+  let valid = lazy (fst (write_capture format (sample_packets ()))) in
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf "mutated %s captures read as Ok or Error"
+         (match format with Pcap.Pcap -> "pcap" | Pcap.Pcapng -> "pcapng"))
+    ~count:1000 Mutation.arbitrary
+    (fun mutations ->
+      match Pcap.read (Mutation.apply_all (Lazy.force valid) mutations) with
+      | Ok _ | Error _ -> true)
+
 let () =
   Alcotest.run "pcap"
     [
@@ -311,4 +325,7 @@ let () =
           Alcotest.test_case "deterministic capture" `Quick test_run_capture_deterministic;
           Alcotest.test_case "captured frames roundtrip" `Quick test_run_capture_roundtrips;
         ] );
+      ( "decoders",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_read_total Pcap.Pcap; prop_read_total Pcap.Pcapng ] );
     ]

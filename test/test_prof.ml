@@ -133,13 +133,9 @@ let wall_keys = [ "total_ns"; "max_ns"; "events_per_sec" ]
 let alloc_keys = [ "minor_words"; "major_words" ]
 
 let profiled_mini_run () =
-  Experiments.Harness.reset_run_metrics ();
-  Prof.reset ();
-  Prof.set_enabled true;
+  Obs.Runtime.with_run { Obs.Runtime.off with profile = Profiled None } @@ fun () ->
   mini_run ~pairs:2 ~duration_ms:20;
-  let json = Prof.to_json () in
-  Prof.set_enabled false;
-  json
+  Prof.to_json ()
 
 let test_seeded_determinism () =
   let render json = Json.to_string (strip_keys (wall_keys @ alloc_keys) json) in
@@ -183,13 +179,11 @@ let test_cross_process_determinism () =
     first second
 
 let test_report_carries_profile () =
-  Experiments.Harness.reset_run_metrics ();
-  Prof.reset ();
-  Prof.set_enabled true;
-  mini_run ~pairs:2 ~duration_ms:10;
-  let report = Experiments.Harness.report_of_run ~id:"prof-test" () in
-  let json = Obs.Report.to_json report in
-  Prof.set_enabled false;
+  let json =
+    Obs.Runtime.with_run { Obs.Runtime.off with profile = Profiled None } @@ fun () ->
+    mini_run ~pairs:2 ~duration_ms:10;
+    Obs.Report.to_json (Experiments.Harness.report_of_run ~id:"prof-test" ())
+  in
   check_bool "profile section present" true (Json.member "profile" json <> None);
   let scalar name =
     match Option.bind (Json.member "scalars" json) (Json.member name) with

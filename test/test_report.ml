@@ -233,6 +233,15 @@ let prop_report_reader_total =
           output_string oc (Mutation.apply_all (Lazy.force valid) mutations));
       match Obs.Report.read_file ~path with Ok _ | Error _ -> true)
 
+(* The same contract for the JSON parser itself, on a mutated report
+   document: [Ok] or [Error], never an exception. *)
+let prop_json_parser_total =
+  let valid = lazy (Json.to_string (Obs.Report.to_json (sample_report ()))) in
+  QCheck.Test.make ~name:"mutated JSON parses to Ok or Error" ~count:2000 Mutation.arbitrary
+    (fun mutations ->
+      match Json.of_string (Mutation.apply_all (Lazy.force valid) mutations) with
+      | Ok _ | Error _ -> true)
+
 let test_report_write_unwritable () =
   match Obs.Report.write (sample_report ()) ~path:"/nonexistent-dir-xyzzy/report.json" with
   | () -> Alcotest.fail "expected Sys_error"
@@ -241,46 +250,38 @@ let test_report_write_unwritable () =
 (* ------------------------------------------------------------------ *)
 (* Diff engine                                                         *)
 
-let bench_like ~ns_per_op ~events_per_sec =
+let report_like ~ns_per_op ~events_per_sec =
   Json.Obj
     [
-      ("schema", Json.String "acdc-bench/1");
-      ( "scenarios",
-        Json.List
+      ("schema", Json.String "acdc-report/1");
+      ("id", Json.String "smoke");
+      ( "scalars",
+        Json.Obj
           [
-            Json.Obj
-              [ ("id", Json.String "smoke"); ("events_per_sec", Json.Float events_per_sec) ];
-          ] );
-      ( "cpu",
-        Json.List
-          [
-            Json.Obj
-              [
-                ("name", Json.String "datapath/sender/acdc/00100-flows");
-                ("ns_per_op", Json.Float ns_per_op);
-              ];
+            ("events_per_sec", Json.Float events_per_sec);
+            ("datapath/sender/acdc/00100-flows.ns_per_op", Json.Float ns_per_op);
           ] );
     ]
 
 let test_diff_identical () =
-  let doc = bench_like ~ns_per_op:500.0 ~events_per_sec:2e6 in
+  let doc = report_like ~ns_per_op:500.0 ~events_per_sec:2e6 in
   let outcome = Obs.Diff.diff ~base:doc ~current:doc () in
   check_int "no regressions" 0 outcome.Obs.Diff.regressions;
   check_int "no warnings" 0 outcome.Obs.Diff.warnings;
   check_bool "numeric fields compared" true (outcome.Obs.Diff.compared >= 2)
 
 let test_diff_flags_regression () =
-  let base = bench_like ~ns_per_op:500.0 ~events_per_sec:2e6 in
+  let base = report_like ~ns_per_op:500.0 ~events_per_sec:2e6 in
   (* ns/op up 20%, events/sec down 20%: both beyond the 15% tolerance in
      their bad direction. *)
-  let current = bench_like ~ns_per_op:600.0 ~events_per_sec:1.6e6 in
+  let current = report_like ~ns_per_op:600.0 ~events_per_sec:1.6e6 in
   let outcome = Obs.Diff.diff ~base ~current () in
   check_int "both regressions flagged" 2 outcome.Obs.Diff.regressions
 
 let test_diff_direction_matters () =
-  let base = bench_like ~ns_per_op:500.0 ~events_per_sec:2e6 in
+  let base = report_like ~ns_per_op:500.0 ~events_per_sec:2e6 in
   (* Moves of the same size in the good direction: not regressions. *)
-  let current = bench_like ~ns_per_op:400.0 ~events_per_sec:2.4e6 in
+  let current = report_like ~ns_per_op:400.0 ~events_per_sec:2.4e6 in
   let outcome = Obs.Diff.diff ~base ~current () in
   check_int "improvements are not regressions" 0 outcome.Obs.Diff.regressions
 
@@ -291,8 +292,8 @@ let test_diff_unknown_keys_drift () =
   check_int "warning recorded" 1 outcome.Obs.Diff.warnings
 
 let test_diff_tolerance_override () =
-  let base = bench_like ~ns_per_op:500.0 ~events_per_sec:2e6 in
-  let current = bench_like ~ns_per_op:600.0 ~events_per_sec:2e6 in
+  let base = report_like ~ns_per_op:500.0 ~events_per_sec:2e6 in
+  let current = report_like ~ns_per_op:600.0 ~events_per_sec:2e6 in
   let rule =
     match Obs.Diff.parse_rule "ns_per_op=0.6" with
     | Ok r -> r
@@ -319,7 +320,7 @@ let test_parse_rule_errors () =
 
 let instrumented_run () =
   Dcpkt.Packet.reset_ids ();
-  Obs.Runtime.reset_metrics ();
+  Obs.Runtime.with_run Obs.Runtime.off @@ fun () ->
   let params = Fabric.Params.with_ecn Fabric.Params.default in
   let engine = Engine.create () in
   let net =
@@ -397,6 +398,7 @@ let () =
           Alcotest.test_case "round-trip" `Quick test_report_round_trip;
           Alcotest.test_case "unwritable path" `Quick test_report_write_unwritable;
           QCheck_alcotest.to_alcotest prop_report_reader_total;
+          QCheck_alcotest.to_alcotest prop_json_parser_total;
         ] );
       ( "diff",
         [
