@@ -1,7 +1,6 @@
 module Config = Config
 module Sender = Sender
 module Receiver = Receiver
-module Int_feedback = Int_feedback
 
 type t = { sender : Sender.t; receiver : Receiver.t }
 

@@ -11,10 +11,6 @@ module Config = Config
 module Sender = Sender
 module Receiver = Receiver
 
-module Int_feedback = Int_feedback
-(** Per-hop INT samples delivered to enforced CC laws (see
-    {!Int_feedback}). *)
-
 type t
 
 val create : Eventsim.Engine.t -> Config.t -> t

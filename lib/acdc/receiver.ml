@@ -35,6 +35,8 @@ let fresh_flow key = { key; total_bytes = 0; marked_bytes = 0; vm_ect = false }
 (* "No flow" for the allocation-free lookups, compared physically. *)
 let no_flow = fresh_flow (Flow_key.make ~src_ip:0 ~dst_ip:0 ~src_port:0 ~dst_port:0)
 
+let fack_kind = Obs.Trace.intern "fack"
+
 let track t (pkt : Packet.t) =
   Vswitch.Flow_table.find_or_create t.table pkt.Packet.key ~make:(fun () ->
       fresh_flow pkt.Packet.key)
@@ -78,14 +80,8 @@ let owns_egress t (pkt : Packet.t) =
 
 let trace_attach t flow (carrier : Packet.t) =
   if Obs.Trace.enabled t.tracer then
-    Obs.Trace.emit t.tracer ~now:(Eventsim.Engine.now t.engine)
-      (Obs.Trace.Pack_attach
-         {
-           flow = flow.key;
-           pkt = carrier.Packet.id;
-           total = flow.total_bytes;
-           marked = flow.marked_bytes;
-         })
+    Obs.Trace.pack_attach t.tracer ~now:(Eventsim.Engine.now t.engine) ~flow:flow.key
+      ~pkt:carrier.Packet.id ~total:flow.total_bytes ~marked:flow.marked_bytes
 
 (* ACK direction: packets our VM sends back to the data sender.  A
    tracked flow is an enforced one (see [ingress]), so the lookup by the
@@ -110,10 +106,9 @@ let egress t (pkt : Packet.t) ~inject =
       let fack = Packet.make ~key:pkt.Packet.key ~options:[ pack ] ~payload:0 () in
       Obs.Metrics.incr t.m_facks_sent;
       if Obs.Trace.enabled t.tracer then
-        Obs.Trace.emit t.tracer ~now:(Eventsim.Engine.now t.engine)
-          (Obs.Trace.created ~kind:"fack"
-             ~node:(Obs.Trace.host_node pkt.Packet.key.Flow_key.src_ip)
-             fack);
+        Obs.Trace.created t.tracer ~now:(Eventsim.Engine.now t.engine)
+          ~node:(Obs.Trace.host_node pkt.Packet.key.Flow_key.src_ip)
+          ~kind:fack_kind fack;
       trace_attach t flow fack;
       inject fack
     end;

@@ -7,6 +7,10 @@ let src = Logs.Src.create "acdc.sender" ~doc:"AC/DC sender-side vSwitch module"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
+(* [Created] kinds of the segments this module synthesizes. *)
+let assist_ack_kind = Obs.Trace.intern "assist_ack"
+let window_update_kind = Obs.Trace.intern "window_update"
+
 (* DCTCP's alpha in a one-field all-float record, which OCaml stores
    flat: the once-per-window update then boxes no float and stores no
    fresh pointer into the long-lived flow. *)
@@ -165,13 +169,8 @@ and fire_timer t flow =
     (* Silence with data outstanding: the VM's flow timed out (§3.1). *)
     Obs.Metrics.incr t.m_inferred_timeouts;
     if Obs.Trace.enabled t.tracer then
-      Obs.Trace.emit t.tracer ~now
-        (Obs.Trace.Rto_fire
-           {
-             flow = flow.key;
-             inferred = true;
-             count = Obs.Metrics.value t.m_inferred_timeouts;
-           });
+      Obs.Trace.rto_fire t.tracer ~now ~flow:flow.key ~inferred:true
+        ~count:(Obs.Metrics.value t.m_inferred_timeouts);
     Log.debug (fun m ->
         m "flow %a: inferred timeout (snd_una=%d snd_nxt=%d)" Flow_key.pp flow.key
           flow.snd_una flow.snd_nxt);
@@ -203,10 +202,9 @@ and assist_retransmit t flow =
           ~rwnd_field:(window_field flow window) ~payload:0 ()
       in
       if Obs.Trace.enabled t.tracer then
-        Obs.Trace.emit t.tracer ~now:(Engine.now t.engine)
-          (Obs.Trace.created ~kind:"assist_ack"
-             ~node:(Obs.Trace.host_node flow.key.Flow_key.src_ip)
-             pkt);
+        Obs.Trace.created t.tracer ~now:(Engine.now t.engine)
+          ~node:(Obs.Trace.host_node flow.key.Flow_key.src_ip)
+          ~kind:assist_ack_kind pkt;
       inject pkt
     done
   | Some _ | None -> ()
@@ -250,14 +248,8 @@ let egress_tracked t flow (pkt : Packet.t) =
         (* Non-conforming stack: drop the excess (§3.3). *)
         Obs.Metrics.incr t.m_policer_drops;
         if Obs.Trace.enabled t.tracer then
-          Obs.Trace.emit t.tracer ~now:(Engine.now t.engine)
-            (Obs.Trace.Policer_drop
-               {
-                 flow = flow.key;
-                 pkt = pkt.Packet.id;
-                 seq = pkt.Packet.seq;
-                 window = enforced_window t flow;
-               });
+          Obs.Trace.policer_drop t.tracer ~now:(Engine.now t.engine) ~flow:flow.key
+            ~pkt:pkt.Packet.id ~seq:pkt.Packet.seq ~window:(enforced_window t flow);
         Log.debug (fun m ->
             m "flow %a: policed packet seq=%d beyond window %d" Flow_key.pp flow.key
               pkt.Packet.seq (enforced_window t flow));
@@ -333,9 +325,8 @@ let update_alpha t flow =
     flow.est.alpha <- ((1.0 -. g) *. flow.est.alpha) +. (g *. marked_fraction flow);
     Obs.Metrics.incr t.m_alpha_updates;
     if Obs.Trace.enabled t.tracer then
-      Obs.Trace.emit t.tracer ~now:(Engine.now t.engine)
-        (Obs.Trace.Alpha_update
-           { flow = flow.key; alpha = flow.est.alpha; fraction = marked_fraction flow })
+      Obs.Trace.alpha_update t.tracer ~now:(Engine.now t.engine) ~flow:flow.key
+        ~alpha:flow.est.alpha ~fraction:(marked_fraction flow)
   end;
   flow.win_total <- 0;
   flow.win_marked <- 0;
@@ -421,8 +412,8 @@ let rewrite_rwnd t flow (pkt : Packet.t) =
       pkt.Packet.rwnd_field <- field;
       Obs.Metrics.incr t.m_rwnd_rewrites;
       if Obs.Trace.enabled t.tracer then
-        Obs.Trace.emit t.tracer ~now:(Engine.now t.engine)
-          (Obs.Trace.Rwnd_rewrite { flow = flow.key; pkt = pkt.Packet.id; window; field })
+        Obs.Trace.rwnd_rewrite t.tracer ~now:(Engine.now t.engine) ~flow:flow.key
+          ~pkt:pkt.Packet.id ~window ~field
     end
   end
 
@@ -457,8 +448,8 @@ let handle_ack t flow (pkt : Packet.t) =
         flow.dupacks <- flow.dupacks + 1;
         Obs.Metrics.incr t.m_dupacks;
         if Obs.Trace.enabled t.tracer then
-          Obs.Trace.emit t.tracer ~now:(Engine.now t.engine)
-            (Obs.Trace.Dupack { flow = flow.key; ack = pkt.Packet.ack; count = flow.dupacks })
+          Obs.Trace.dupack t.tracer ~now:(Engine.now t.engine) ~flow:flow.key
+            ~ack:pkt.Packet.ack ~count:flow.dupacks
       end;
       0
     end
@@ -515,10 +506,9 @@ let window_update t key ~to_vm =
         ~rwnd_field:(window_field flow window) ~payload:0 ()
     in
     if Obs.Trace.enabled t.tracer then
-      Obs.Trace.emit t.tracer ~now:(Engine.now t.engine)
-        (Obs.Trace.created ~kind:"window_update"
-           ~node:(Obs.Trace.host_node key.Flow_key.src_ip)
-           pkt);
+      Obs.Trace.created t.tracer ~now:(Engine.now t.engine)
+        ~node:(Obs.Trace.host_node key.Flow_key.src_ip)
+        ~kind:window_update_kind pkt;
     to_vm pkt;
     true
 

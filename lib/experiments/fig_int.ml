@@ -5,7 +5,7 @@
    queueing of [senders] bottlenecks.  With INT enabled every switch
    stamps ingress/egress time, queue depth and service rate into the
    packets it forwards; the receiving vSwitch strips the stack and this
-   figure consumes it through {!Acdc.Int_feedback} — the same channel an
+   figure consumes it through {!Obs.Int_feedback} — the same channel an
    in-fabric congestion law (e.g. PowerTCP) would use — to attribute the
    flow's latency hop by hop and name the bottleneck. *)
 
@@ -69,40 +69,39 @@ module Int_hops = struct
     let stacks = ref 0 in
     let next_order = ref 0 in
     let sub =
-      Acdc.Int_feedback.subscribe ~flow:watched (fun ~now:_ ~flow:_ hops ->
+      Obs.Int_feedback.subscribe ~flow:watched (fun ~now:_ ~flow:_ hops ->
           incr stacks;
-          Array.iter
-            (fun (h : Int_meta.hop) ->
-              let label = Printf.sprintf "%s:%d" (Int_meta.name h.hop_id) h.port in
-              let a =
-                match Hashtbl.find_opt acc label with
-                | Some a -> a
-                | None ->
-                  let a =
-                    {
-                      order = !next_order;
-                      sojourn = Dcstats.Samples.create ();
-                      sum_sojourn = 0;
-                      max_q = 0;
-                      svc_sum = 0.0;
-                    }
-                  in
-                  incr next_order;
-                  Hashtbl.replace acc label a;
-                  a
-              in
-              let s = Int_meta.sojourn_ns h in
-              Dcstats.Samples.add a.sojourn (float_of_int s);
-              a.sum_sojourn <- a.sum_sojourn + s;
-              a.max_q <- Stdlib.max a.max_q h.qbytes;
-              a.svc_sum <- a.svc_sum +. float_of_int h.svc_bps)
-            hops)
+          for i = 0 to Int_meta.depth hops - 1 do
+            let label = Int_meta.hop_label hops i in
+            let a =
+              match Hashtbl.find_opt acc label with
+              | Some a -> a
+              | None ->
+                let a =
+                  {
+                    order = !next_order;
+                    sojourn = Dcstats.Samples.create ();
+                    sum_sojourn = 0;
+                    max_q = 0;
+                    svc_sum = 0.0;
+                  }
+                in
+                incr next_order;
+                Hashtbl.replace acc label a;
+                a
+            in
+            let s = Int_meta.sojourn_ns hops i in
+            Dcstats.Samples.add a.sojourn (float_of_int s);
+            a.sum_sojourn <- a.sum_sojourn + s;
+            a.max_q <- Stdlib.max a.max_q (Int_meta.qbytes hops i);
+            a.svc_sum <- a.svc_sum +. float_of_int (Int_meta.svc_bps hops i)
+          done)
     in
     let tputs =
       Harness.measure_goodput net conns ~warmup:(Time_ns.ms 200)
         ~duration:(Time_ns.sec duration)
     in
-    Acdc.Int_feedback.unsubscribe sub;
+    Obs.Int_feedback.unsubscribe sub;
     Fabric.Topology.shutdown net;
     Harness.finish_timeseries ts;
     let total =

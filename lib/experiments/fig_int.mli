@@ -2,7 +2,7 @@
 
     Runs the parking-lot topology with INT stamping enabled, subscribes
     to the stripped stacks of the longest flow through
-    {!Acdc.Int_feedback} (the channel an in-fabric congestion law would
+    {!Obs.Int_feedback} (the channel an in-fabric congestion law would
     use) and breaks that flow's latency down by switch hop. *)
 
 module Int_hops : sig

@@ -92,7 +92,10 @@ type outcome = {
   conforming_acked_segments : int;
   policer_drops : int;
   finished_at : Time_ns.t;  (** virtual time the last message completed *)
+  black_box : string list;
 }
+
+let black_box_events = 64
 
 (* Generous: handshake packets enjoy no RTT estimate, so each loss costs
    the RFC 6298 1 s initial RTO (then 2 s backoff) — 5 s of virtual time
@@ -113,7 +116,14 @@ let run_scenario scenario =
   (* Attribution is on for every scenario: invariant 7 wants the exactness
      contract checked against random send/stall schedules, and the fuzzer
      already generates exactly those. *)
-  Obs.Runtime.with_run { (Obs.Runtime.current ()) with attrib = true } @@ fun () ->
+  let recorder = Obs.Trace.ring ~capacity:4096 () in
+  Obs.Runtime.with_run
+    {
+      (Obs.Runtime.current ()) with
+      attrib = true;
+      trace = Sink (Obs.Trace.tee recorder (Obs.Runtime.tracer ()));
+    }
+  @@ fun () ->
   let attrib = Obs.Runtime.attrib () in
   let engine = Engine.create () in
   let scheme = Harness.acdc ~host_cc:(Tcp.Cc_registry.find scenario.cc_name) () in
@@ -281,6 +291,13 @@ let run_scenario scenario =
       (Printf.sprintf "%d connections but %d attribution snapshots" (List.length conns)
          (List.length snaps));
   Fabric.Topology.shutdown net;
+  let black_box =
+    if !violations = [] then []
+    else
+      List.map
+        (fun (now, ev) -> Json.to_string (Obs.Trace.event_to_json ~now ev))
+        (Obs.Trace.tail recorder ~n:black_box_events)
+  in
   {
     scenario;
     violations = List.rev !violations;
@@ -290,6 +307,7 @@ let run_scenario scenario =
     conforming_acked_segments = acked_segments;
     policer_drops;
     finished_at = !finished_at;
+    black_box;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -312,21 +330,28 @@ let scenario_json s =
     ]
 
 let outcome_json o =
+  let black_box =
+    if o.black_box = [] then []
+    else [ ("black_box", Json.List (List.map (fun l -> Json.String l) o.black_box)) ]
+  in
   Json.Obj
-    [
-      ("scenario", scenario_json o.scenario);
-      ("completed", Json.Int o.completed);
-      ("expected", Json.Int o.expected);
-      ("conforming_retx", Json.Int o.conforming_retx);
-      ("conforming_acked_segments", Json.Int o.conforming_acked_segments);
-      ("policer_drops", Json.Int o.policer_drops);
-      ("finished_at_us", Json.Float (Time_ns.to_us o.finished_at));
-      ( "violations",
-        Json.List
-          (List.map
-             (fun v -> Json.Obj [ ("invariant", Json.String v.invariant); ("detail", Json.String v.detail) ])
-             o.violations) );
-    ]
+    ([
+       ("scenario", scenario_json o.scenario);
+       ("completed", Json.Int o.completed);
+       ("expected", Json.Int o.expected);
+       ("conforming_retx", Json.Int o.conforming_retx);
+       ("conforming_acked_segments", Json.Int o.conforming_acked_segments);
+       ("policer_drops", Json.Int o.policer_drops);
+       ("finished_at_us", Json.Float (Time_ns.to_us o.finished_at));
+       ( "violations",
+         Json.List
+           (List.map
+              (fun v ->
+                Json.Obj
+                  [ ("invariant", Json.String v.invariant); ("detail", Json.String v.detail) ])
+              o.violations) );
+     ]
+    @ black_box)
 
 let report_of_outcomes ?(id = "fuzz") outcomes =
   let report = Obs.Report.create ~id () in
@@ -359,7 +384,9 @@ let print_outcome o =
     Format.printf "  FAIL@.";
     List.iter
       (fun v -> Format.printf "      [%s] %s (replay: --fuzz 1 --seed %d)@." v.invariant v.detail s.seed)
-      o.violations
+      o.violations;
+    Format.printf "      last %d trace events of the run:@." (List.length o.black_box);
+    List.iter (Format.printf "        %s@.") o.black_box
   end
 
 (* ------------------------------------------------------------------ *)

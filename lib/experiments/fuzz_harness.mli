@@ -37,7 +37,13 @@ type outcome = {
   conforming_acked_segments : int;
   policer_drops : int;
   finished_at : Eventsim.Time_ns.t;  (** virtual time the last message completed *)
+  black_box : string list;
+      (** with violations, the run's last {!black_box_events} trace events
+          as JSONL lines, oldest first; [[]] otherwise *)
 }
+
+val black_box_events : int
+(** 64 *)
 
 val run_scenario : scenario -> outcome
 (** Build the scenario's topology (policing enabled), run it to a 2 s
@@ -45,7 +51,9 @@ val run_scenario : scenario -> outcome
     stacks did not retransmission-storm; every switch's byte books balance
     within [0, capacity]; AC/DC cursors satisfy [snd_una <= snd_nxt]; the
     enforced window survives 16-bit window-field scaling; and the policer
-    dropped nothing when every stack conformed. *)
+    dropped nothing when every stack conformed.  A 4096-event
+    {!Obs.Trace.ring}, teed onto the enclosing run's tracer, records the
+    run as a flight recorder for [black_box]. *)
 
 val run_seed : int -> outcome
 

@@ -124,7 +124,6 @@ let pctl samples p =
 let timed_run ?config ~id f =
   let config = match config with Some c -> c | None -> Obs.Runtime.current () in
   Obs.Runtime.with_run config @@ fun () ->
-  Acdc.Int_feedback.reset ();
   let events0 = Engine.total_events_processed () in
   let t0 = Unix.gettimeofday () in
   let report = f () in

@@ -1,10 +1,11 @@
 module Engine = Eventsim.Engine
 module Packet = Dcpkt.Packet
 module Flow_key = Dcpkt.Flow_key
+module Int_meta = Dcpkt.Int_meta
 
 type t = {
   ip : int;
-  name : string;
+  node : Obs.Trace.name; (* "host<ip>", interned for the tracer *)
   engine : Engine.t;
   datapath : Vswitch.Datapath.t;
   acdc : Acdc.t option;
@@ -35,21 +36,13 @@ let demux t (pkt : Packet.t) =
   match Flow_key.Table.find t.endpoints pkt.Packet.key with
   | endpoint ->
     if Obs.Trace.enabled t.tracer then
-      Obs.Trace.emit t.tracer ~now:(Engine.now t.engine)
-        (Obs.Trace.Delivered { node = t.name; pkt = pkt.Packet.id });
+      Obs.Trace.delivered t.tracer ~now:(Engine.now t.engine) ~node:t.node ~pkt:pkt.Packet.id;
     Tcp.Endpoint.input endpoint pkt
   | exception Not_found ->
     t.no_route_drops <- t.no_route_drops + 1;
     if Obs.Trace.enabled t.tracer then
-      Obs.Trace.emit t.tracer ~now:(Engine.now t.engine)
-        (Obs.Trace.Drop
-           {
-             node = t.name;
-             port = -1;
-             pkt = pkt.Packet.id;
-             size = Packet.wire_size pkt;
-             reason = Obs.Trace.No_endpoint;
-           })
+      Obs.Trace.drop t.tracer ~now:(Engine.now t.engine) ~node:t.node ~port:(-1)
+        ~pkt:pkt.Packet.id ~size:(Packet.wire_size pkt) ~reason:Obs.Trace.No_endpoint
 
 let create engine ~ip ?acdc () =
   let name = Printf.sprintf "host%d" ip in
@@ -67,7 +60,7 @@ let create engine ~ip ?acdc () =
   let t =
     {
       ip;
-      name;
+      node = Obs.Trace.intern name;
       engine;
       datapath;
       acdc;
@@ -101,33 +94,23 @@ let egress t pkt =
    before the datapath modules or the guest see the packet (the VM tap in
    [demux] captures a clean frame), and routes the samples three ways —
    trace events, the ambient Obs collector, and the CC feedback
-   subscription channel. *)
+   subscription channel — then recycles the stack. *)
 let strip_int t (pkt : Packet.t) =
-  let hops = Packet.int_hops pkt in
+  let hops = pkt.Packet.int_stack in
+  let depth = Int_meta.depth hops in
   let exceeded = pkt.Packet.int_exceeded in
-  Packet.clear_int pkt;
   let now = Engine.now t.engine in
   let flow = pkt.Packet.key in
+  let id = pkt.Packet.id in
   if Obs.Trace.enabled t.tracer then begin
-    Array.iteri
-      (fun depth (h : Dcpkt.Int_meta.hop) ->
-        Obs.Trace.emit t.tracer ~now
-          (Obs.Trace.Int_hop
-             {
-               flow;
-               pkt = pkt.Packet.id;
-               depth;
-               hop = Dcpkt.Int_meta.name h.hop_id;
-               port = h.port;
-               ingress = h.ingress_ns;
-               egress = h.egress_ns;
-               qbytes = h.qbytes;
-               svc_bps = h.svc_bps;
-             }))
-      hops;
-    Obs.Trace.emit t.tracer ~now
-      (Obs.Trace.Int_strip
-         { node = t.name; flow; pkt = pkt.Packet.id; hops = Array.length hops; exceeded })
+    for i = 0 to depth - 1 do
+      Obs.Trace.int_hop t.tracer ~now ~flow ~pkt:id ~depth:i
+        ~hop:(Obs.Trace.hop_name (Int_meta.hop_id hops i))
+        ~port:(Int_meta.port hops i) ~ingress:(Int_meta.ingress_ns hops i)
+        ~egress:(Int_meta.egress_ns hops i) ~qbytes:(Int_meta.qbytes hops i)
+        ~svc_bps:(Int_meta.svc_bps hops i)
+    done;
+    Obs.Trace.int_strip t.tracer ~now ~node:t.node ~flow ~pkt:id ~hops:depth ~exceeded
   end;
   Obs.Int_sink.absorb (Obs.Runtime.int_sink ()) ~now ~flow ~hops ~exceeded;
   (* Per-hop decomposition of the flow's in-flight time: the sojourn
@@ -135,10 +118,11 @@ let strip_int t (pkt : Packet.t) =
      clock. *)
   let attrib = Obs.Runtime.attrib () in
   if Obs.Attrib.enabled attrib then Obs.Attrib.absorb_hops attrib flow hops;
-  Acdc.Int_feedback.dispatch ~now ~flow hops
+  Obs.Int_feedback.dispatch ~now ~flow hops;
+  Packet.release_int pkt
 
 let deliver t pkt =
-  if pkt.Packet.int_stack != [] || pkt.Packet.int_exceeded then strip_int t pkt;
+  if Int_meta.depth pkt.Packet.int_stack > 0 || pkt.Packet.int_exceeded then strip_int t pkt;
   Vswitch.Datapath.process_ingress t.datapath pkt ~deliver:t.demux_fn
 
 let register_endpoint t endpoint =

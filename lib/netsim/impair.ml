@@ -108,6 +108,7 @@ type t = {
   tracer : Obs.Trace.t;
   pcap : Obs.Pcap.t;
   link : string;
+  node : Obs.Trace.name; (* [link], interned for the tracer *)
   c_offered : Metrics.counter;
   c_lost : Metrics.counter;
   c_duplicated : Metrics.counter;
@@ -117,7 +118,8 @@ type t = {
 }
 
 let create engine ?(name = "link") ~rng ~config ~deliver () =
-  let scope = Metrics.scope (Obs.Runtime.metrics ()) (Printf.sprintf "impair.%s" name) in
+  let link = Printf.sprintf "impair.%s" name in
+  let scope = Metrics.scope (Obs.Runtime.metrics ()) link in
   {
     engine;
     rng;
@@ -125,7 +127,8 @@ let create engine ?(name = "link") ~rng ~config ~deliver () =
     deliver;
     tracer = Obs.Runtime.tracer ();
     pcap = Obs.Runtime.pcap ();
-    link = Printf.sprintf "impair.%s" name;
+    link;
+    node = Obs.Trace.intern link;
     c_offered = Metrics.scope_counter scope "offered";
     c_lost = Metrics.scope_counter scope "lost";
     c_duplicated = Metrics.scope_counter scope "duplicated";
@@ -149,8 +152,7 @@ let hit rng p = p > 0. && Rng.float rng 1.0 < p
 
 let trace t (pkt : Packet.t) action =
   if Obs.Trace.enabled t.tracer then
-    Obs.Trace.emit t.tracer ~now:(Engine.now t.engine)
-      (Obs.Trace.Impaired { link = t.link; pkt = pkt.Packet.id; action })
+    Obs.Trace.impaired t.tracer ~now:(Engine.now t.engine) ~link:t.node ~pkt:pkt.Packet.id ~action
 
 (* Delayed handoff rides a pooled engine cell — impaired links sit on the
    forwarding hot path, so no per-frame closure. *)

@@ -32,6 +32,7 @@ type t = {
   engine : Engine.t;
   rng : Eventsim.Rng.t;
   name : string;
+  node : Trace.name; (* [name], interned for the tracer *)
   buffer_capacity : int;
   dt_alpha : float;
   ecn : ecn_config option;
@@ -59,6 +60,7 @@ let create engine ?(name = "sw") ?(buffer_capacity = 9 * 1024 * 1024) ?(dt_alpha
     engine;
     rng = Eventsim.Rng.create ~seed:(Hashtbl.hash name + buffer_capacity);
     name;
+    node = Trace.intern name;
     buffer_capacity;
     dt_alpha;
     ecn;
@@ -138,15 +140,8 @@ let drop t port_opt (pkt : Packet.t) ~port_idx ~reason =
   Metrics.incr t.m_drops;
   (match port_opt with None -> () | Some p -> p.drops <- p.drops + 1);
   if Trace.enabled t.tracer then
-    Trace.emit t.tracer ~now:(Engine.now t.engine)
-      (Trace.Drop
-         {
-           node = t.name;
-           port = port_idx;
-           pkt = pkt.Packet.id;
-           size = Packet.wire_size pkt;
-           reason;
-         })
+    Trace.drop t.tracer ~now:(Engine.now t.engine) ~node:t.node ~port:port_idx
+      ~pkt:pkt.Packet.id ~size:(Packet.wire_size pkt) ~reason
 
 let input_unprofiled t pkt =
   Metrics.incr t.m_input;
@@ -175,8 +170,8 @@ let input_unprofiled t pkt =
             pkt.Packet.ecn <- Packet.Ce;
             Metrics.incr t.m_ce_marks;
             if Trace.enabled t.tracer then
-              Trace.emit t.tracer ~now:(Engine.now t.engine)
-                (Trace.Ce_mark { node = t.name; port = idx; pkt = pkt.Packet.id; qbytes });
+              Trace.ce_mark t.tracer ~now:(Engine.now t.engine) ~node:t.node ~port:idx
+                ~pkt:pkt.Packet.id ~qbytes;
             true
           end
           else begin
@@ -205,15 +200,8 @@ let input_unprofiled t pkt =
            slack, like real INT inserting metadata after policing). *)
         let size =
           if Int_meta.enabled () then begin
-            Packet.add_int_hop pkt
-              {
-                Int_meta.hop_id = t.hop_id;
-                port = idx;
-                ingress_ns = Engine.now t.engine;
-                egress_ns = 0;
-                qbytes;
-                svc_bps = port.svc_bps;
-              };
+            Packet.add_int_hop pkt ~hop_id:t.hop_id ~port:idx ~ingress_ns:(Engine.now t.engine)
+              ~egress_ns:0 ~qbytes ~svc_bps:port.svc_bps;
             Packet.wire_size pkt
           end
           else size

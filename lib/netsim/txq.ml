@@ -50,7 +50,7 @@ type t = {
   tracer : Obs.Trace.t;
   pcap : Obs.Pcap.t;
   iface : string;
-  node : string;
+  node : Obs.Trace.name;
   port : int;
   mutable queued_bytes : int;
   mutable busy : bool;
@@ -87,7 +87,7 @@ let create ?(node = "txq") ?(port = 0) engine ~rate_bps ~prop_delay ~jitter ~del
     tracer = Obs.Runtime.tracer ();
     pcap = Obs.Runtime.pcap ();
     iface = Printf.sprintf "%s:%d" node port;
-    node;
+    node = Obs.Trace.intern node;
     port;
     queued_bytes = 0;
     busy = false;
@@ -155,11 +155,10 @@ let rec finish_unprofiled t =
   (* Close the top INT hop (if the upstream switch opened one) before the
      trace/capture taps run, so the frame on the wire — and in the pcap —
      carries the completed stamp. *)
-  if pkt.Packet.int_stack != [] then Packet.complete_int_hop pkt ~egress_ns:now;
+  Packet.complete_int_hop pkt ~egress_ns:now;
   if Obs.Trace.enabled t.tracer then
-    Obs.Trace.emit t.tracer ~now
-      (Obs.Trace.Dequeue
-         { node = t.node; port = t.port; pkt = pkt.Packet.id; size; qbytes = t.queued_bytes });
+    Obs.Trace.dequeue t.tracer ~now ~node:t.node ~port:t.port ~pkt:pkt.Packet.id ~size
+      ~qbytes:t.queued_bytes;
   (* The capture tap sits at serialization time — the moment the frame
      hits the wire — so the ECN/option state in the capture is what
      downstream nodes will actually see. *)
@@ -223,9 +222,8 @@ and deliver_batch_h = lazy (Engine.handler deliver_batch)
 let enqueue_unprofiled t pkt ~size =
   t.queued_bytes <- t.queued_bytes + size;
   if Obs.Trace.enabled t.tracer then
-    Obs.Trace.emit t.tracer ~now:(Engine.now t.engine)
-      (Obs.Trace.Enqueue
-         { node = t.node; port = t.port; pkt = pkt.Packet.id; size; qbytes = t.queued_bytes });
+    Obs.Trace.enqueue t.tracer ~now:(Engine.now t.engine) ~node:t.node ~port:t.port
+      ~pkt:pkt.Packet.id ~size ~qbytes:t.queued_bytes;
   if t.tail - t.head = Array.length t.r_pkt then grow t;
   let i = slot t t.tail in
   t.r_pkt.(i) <- pkt;

@@ -51,6 +51,11 @@ let state_label = function
   | Rto_recovery -> "rto_recovery"
   | In_flight -> "in_flight"
 
+(* The trace's names for the states, by [state_index], and for the
+   completion pseudo-state. *)
+let state_names = Array.of_list (List.map (fun s -> Trace.intern (state_label s)) all_states)
+let complete_name = Trace.intern "complete"
+
 let state_of_label = function
   | "handshake" -> Some Handshake
   | "app_limited" -> Some App_limited
@@ -184,14 +189,9 @@ let note t ~now ~tracer key cause =
       c.state <- next;
       record_watch c ~now left;
       if Trace.enabled tracer then
-        Trace.emit tracer ~now
-          (Trace.Attrib_transition
-             {
-               flow = key;
-               from_state = state_label left;
-               to_state = state_label next;
-               spent;
-             })
+        Trace.attrib_transition tracer ~now ~flow:key
+          ~from_state:state_names.(state_index left)
+          ~to_state:state_names.(state_index next) ~spent
     end
 
 let set_enforced t key enforced =
@@ -203,16 +203,17 @@ let absorb_hops t key hops =
   match Flow_key.Table.find t.flows key with
   | exception Not_found -> ()
   | c ->
-    if Array.length hops > 0 then begin
+    let depth = Int_meta.depth hops in
+    if depth > 0 then begin
       c.hop_packets <- c.hop_packets + 1;
-      for i = 0 to Array.length hops - 1 do
-        let h : Int_meta.hop = hops.(i) in
-        let k = Int_meta.hop_key h in
+      for i = 0 to depth - 1 do
+        let k = Int_meta.hop_key hops i in
         match Hashtbl.find c.hops k with
-        | sum -> sum.ns <- sum.ns + Int_meta.sojourn_ns h
+        | sum -> sum.ns <- sum.ns + Int_meta.sojourn_ns hops i
         | exception Not_found ->
           (* The label is formatted once, when the hop is first seen. *)
-          Hashtbl.add c.hops k { label = Int_meta.hop_label h; ns = Int_meta.sojourn_ns h }
+          Hashtbl.add c.hops k
+            { label = Int_meta.hop_label hops i; ns = Int_meta.sojourn_ns hops i }
       done
     end
 
@@ -239,9 +240,8 @@ let complete t ~now ~tracer key =
           snap_hop_packets = c.hop_packets;
         };
     if Trace.enabled tracer then
-      Trace.emit tracer ~now
-        (Trace.Attrib_transition
-           { flow = key; from_state = state_label left; to_state = "complete"; spent })
+      Trace.attrib_transition tracer ~now ~flow:key ~from_state:state_names.(state_index left)
+        ~to_state:complete_name ~spent
 
 let exactness_error snap =
   let sum = List.fold_left (fun acc (_, d) -> acc + d) 0 snap.snap_states in

@@ -100,9 +100,10 @@ val set_enforced : t -> Dcpkt.Flow_key.t -> bool -> unit
     vSwitch-enforced (shrunk) window.  Called by [Acdc.Sender] at its
     rewrite decision; resolves subsequent [Blocked_rwnd] notes. *)
 
-val absorb_hops : t -> Dcpkt.Flow_key.t -> Dcpkt.Int_meta.hop array -> unit
+val absorb_hops : t -> Dcpkt.Flow_key.t -> Dcpkt.Int_meta.stack -> unit
 (** Accumulate per-hop sojourn nanoseconds for the flow from a stripped
-    INT stack — the per-hop decomposition of its [In_flight] time. *)
+    INT stack — the per-hop decomposition of its [In_flight] time.  Reads
+    the stack during the call only. *)
 
 val complete : t -> now:Eventsim.Time_ns.t -> tracer:Trace.t -> Dcpkt.Flow_key.t -> unit
 (** Snapshot the flow at [now]: its FCT is [now - start] and its per-state

@@ -42,14 +42,14 @@ let reset t =
 
 let watch t ~ts ?(prefix = "flow") flow = t.watched <- Some (ts, prefix, flow)
 
-let agg_for t (h : Int_meta.hop) =
-  let key = Int_meta.hop_key h in
+let agg_for t hops i =
+  let key = Int_meta.hop_key hops i in
   match Hashtbl.find t.per_hop key with
   | a -> a
   | exception Not_found ->
     let a =
       {
-        label = Int_meta.hop_label h;
+        label = Int_meta.hop_label hops i;
         sojourn = Dcstats.Samples.create ();
         max_qbytes = 0;
         svc = { svc_sum_bps = 0.0 };
@@ -63,15 +63,16 @@ let absorb t ~now ~flow ~hops ~exceeded =
   t.packets <- t.packets + 1;
   if exceeded then t.exceeded <- t.exceeded + 1;
   let path = ref 0 in
-  for i = 0 to Array.length hops - 1 do
-    let h : Int_meta.hop = hops.(i) in
+  let depth = Int_meta.depth hops in
+  for i = 0 to depth - 1 do
     t.hops <- t.hops + 1;
-    let sojourn = Int_meta.sojourn_ns h in
+    let sojourn = Int_meta.sojourn_ns hops i in
+    let qbytes = Int_meta.qbytes hops i in
     path := !path + sojourn;
-    let agg = agg_for t h in
+    let agg = agg_for t hops i in
     Dcstats.Samples.add_int agg.sojourn sojourn;
-    if h.qbytes > agg.max_qbytes then agg.max_qbytes <- h.qbytes;
-    agg.svc.svc_sum_bps <- agg.svc.svc_sum_bps +. float_of_int h.svc_bps;
+    if qbytes > agg.max_qbytes then agg.max_qbytes <- qbytes;
+    agg.svc.svc_sum_bps <- agg.svc.svc_sum_bps +. float_of_int (Int_meta.svc_bps hops i);
     agg.samples <- agg.samples + 1;
     match t.watched with
     | Some (ts, prefix, f)
@@ -80,10 +81,10 @@ let absorb t ~now ~flow ~hops ~exceeded =
         Timeseries.channel ts (Printf.sprintf "int.%s.%s.%s" prefix agg.label name)
       in
       Timeseries.record (ch "sojourn_ns") ~now (float_of_int sojourn);
-      Timeseries.record (ch "qbytes") ~now (float_of_int h.qbytes)
+      Timeseries.record (ch "qbytes") ~now (float_of_int qbytes)
     | Some _ | None -> ()
   done;
-  if Array.length hops > 0 then Dcstats.Samples.add_int t.path_sojourn !path
+  if depth > 0 then Dcstats.Samples.add_int t.path_sojourn !path
 
 let touched t = t.packets > 0
 

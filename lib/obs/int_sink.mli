@@ -23,10 +23,11 @@ val absorb :
   t ->
   now:Eventsim.Time_ns.t ->
   flow:Dcpkt.Flow_key.t ->
-  hops:Dcpkt.Int_meta.hop array ->
+  hops:Dcpkt.Int_meta.stack ->
   exceeded:bool ->
   unit
-(** Fold one stripped stack (path order) into the aggregates. *)
+(** Fold one stripped stack into the aggregates.  Reads [hops] during
+    the call only. *)
 
 val touched : t -> bool
 (** Whether any stack was absorbed since creation/[reset] — gates the

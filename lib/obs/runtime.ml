@@ -66,6 +66,7 @@ let folded_writes = ref 0
 let with_run config f =
   let writes_before = !folded_writes in
   let enclosing = current () and tracer_was = !the_tracer and pcap_was = !the_pcap in
+  let feedback_was = Int_feedback.detach () in
   let opened = ref [] in
   let open_file opener path =
     let oc = opener path in
@@ -75,6 +76,7 @@ let with_run config f =
   Fun.protect
     ~finally:(fun () ->
       install ~tracer:tracer_was ~pcap:pcap_was enclosing;
+      Int_feedback.restore feedback_was;
       List.iter close_out !opened)
     (fun () ->
       let tracer =

@@ -53,8 +53,10 @@ val with_run : config -> (unit -> 'a) -> 'a
 (** [with_run config f] runs [f] with [config]'s sinks installed.  On
     entry it resets the metrics registry, the INT sink, the attribution
     instance and the profiler's accumulators, so the run's report sections
-    describe it alone.  On exit, also by exception, it closes the files it
-    opened and restores the enclosing context; the accumulators keep the
+    describe it alone, and sets the enclosing run's {!Int_feedback}
+    subscriptions aside.  On exit, also by exception, it closes the files it
+    opened and restores the enclosing context, subscriptions included;
+    the accumulators keep the
     run's numbers until the next run starts.  Nests to any depth.  Raises
     [Sys_error] if a [File] cannot be opened. *)
 

@@ -45,17 +45,80 @@ type event =
       spent : int;
     }
 
-(* Parallel arrays, not an array of [Some (t, ev)]: recording an event
-   then stores the event itself and an unboxed time, with no tuple or
-   option around it.  Slots not yet written hold [vacant]. *)
-type ring = {
-  times : int array;
-  slots : event array;
-  mutable next : int;
-  mutable total : int;
-}
+(* ------------------------------------------------------------------ *)
+(* Interned names and flows                                            *)
 
-let vacant = Delivered { node = ""; pkt = 0 }
+(* Append-only and process-wide: a ring stores ids, and an id decodes to
+   the same string for the life of the process, whatever was reset
+   since.  Ids are packed 25 bits wide into a slot's header word. *)
+type name = int
+
+let max_ids = 1 lsl 25
+
+type 'a table = { mutable items : 'a array; mutable count : int }
+
+let add_item table x =
+  let id = table.count in
+  if id >= max_ids then failwith "Trace: intern table full";
+  if id = Array.length table.items then begin
+    let grown = Array.make (2 * id) x in
+    Array.blit table.items 0 grown 0 id;
+    table.items <- grown
+  end;
+  table.items.(id) <- x;
+  table.count <- id + 1;
+  id
+
+let names = { items = Array.make 64 ""; count = 0 }
+let name_ids : (string, name) Hashtbl.t = Hashtbl.create 64
+
+let intern s =
+  match Hashtbl.find name_ids s with
+  | id -> id
+  | exception Not_found ->
+    let id = add_item names s in
+    Hashtbl.add name_ids s id;
+    id
+
+let label id = names.items.(id)
+
+let no_flow = Flow_key.make ~src_ip:0 ~dst_ip:0 ~src_port:0 ~dst_port:0
+let flows = { items = Array.make 64 no_flow; count = 0 }
+let flow_ids : int Flow_key.Table.t = Flow_key.Table.create 64
+
+(* A packet's events arrive in runs (its INT hops and strip, a segment's
+   creation and enqueue, ...) under one long-lived key, so the last key
+   looked up, compared physically, skips most of the hashing. *)
+let last_flow = ref no_flow
+let last_flow_id = ref 0
+
+let flow_id key =
+  if key == !last_flow then !last_flow_id
+  else begin
+    let id =
+      match Flow_key.Table.find flow_ids key with
+      | id -> id
+      | exception Not_found ->
+        let id = add_item flows key in
+        Flow_key.Table.add flow_ids key id;
+        id
+    in
+    last_flow := key;
+    last_flow_id := id;
+    id
+  end
+
+(* ------------------------------------------------------------------ *)
+(* The binary ring                                                      *)
+
+(* A flight recorder of fixed 8-int (64-byte) slots in one int array, so
+   recording stores no pointer and allocates nothing.  Slot layout:
+   [time; header; p0 .. p5], the header packing the kind tag (5 bits), a
+   small field [c] (8 bits) and two ids [a] and [b] (25 bits each); the
+   [w_*] encoders below give each kind's use of them. *)
+let width = 8
+
+type ring = { buf : int array; capacity : int; mutable next : int; mutable total : int }
 
 type t =
   | Null
@@ -70,8 +133,7 @@ let tee a b = match (a, b) with Null, t | t, Null -> t | a, b -> Tee (a, b)
 
 let ring ?(capacity = 1024) () =
   assert (capacity > 0);
-  Ring
-    { times = Array.make capacity 0; slots = Array.make capacity vacant; next = 0; total = 0 }
+  Ring { buf = Array.make (capacity * width) 0; capacity; next = 0; total = 0 }
 
 let jsonl ~write = Write write
 
@@ -196,34 +258,49 @@ let pkt_of_event = function
   | Int_strip { pkt; _ } -> Some pkt
   | Alpha_update _ | Dupack _ | Rto_fire _ | Attrib_transition _ -> None
 
-let pkt_kind (p : Packet.t) =
-  if p.syn && p.has_ack then "syn_ack"
-  else if p.syn then "syn"
-  else if p.rst then "rst"
-  else if p.fin then "fin"
-  else if p.payload > 0 then "data"
-  else if (not p.has_ack) && Packet.pack_info p <> None then "fack"
-  else "ack"
+let k_syn_ack = intern "syn_ack"
+let k_syn = intern "syn"
+let k_rst = intern "rst"
+let k_fin = intern "fin"
+let k_data = intern "data"
+let k_fack = intern "fack"
+let k_ack = intern "ack"
 
-let host_nodes : (int, string) Hashtbl.t = Hashtbl.create 64
+let pkt_kind (p : Packet.t) =
+  if p.syn && p.has_ack then k_syn_ack
+  else if p.syn then k_syn
+  else if p.rst then k_rst
+  else if p.fin then k_fin
+  else if p.payload > 0 then k_data
+  else if (not p.has_ack) && Packet.pack_total p >= 0 then k_fack
+  else k_ack
+
+let host_nodes : (int, name) Hashtbl.t = Hashtbl.create 64
 
 let host_node ip =
   match Hashtbl.find host_nodes ip with
   | name -> name
   | exception Not_found ->
-    let name = Printf.sprintf "host%d" ip in
+    let name = intern (Printf.sprintf "host%d" ip) in
     Hashtbl.add host_nodes ip name;
     name
 
-let created ?kind ~node (p : Packet.t) =
-  Created
-    {
-      node;
-      pkt = p.id;
-      flow = p.key;
-      size = Packet.wire_size p;
-      kind = (match kind with Some k -> k | None -> pkt_kind p);
-    }
+(* Keyed by [Int_meta] id, validated by the physical identity of the
+   registered name string: [Int_meta.reset] and re-registration change
+   the string, so a stale slot is re-interned, never misreported. *)
+let hop_strings = Array.make 256 ""
+let hop_names = Array.make 256 0
+
+let hop_name id =
+  let s = Dcpkt.Int_meta.name id in
+  let i = id land 0xFF in
+  if hop_strings.(i) == s then hop_names.(i)
+  else begin
+    let n = intern s in
+    hop_strings.(i) <- s;
+    hop_names.(i) <- n;
+    n
+  end
 
 let event_to_json ~now event =
   let base kind rest = Json.Obj (("t", Json.Int now) :: ("ev", Json.String kind) :: rest) in
@@ -520,14 +597,206 @@ let event_of_json json =
   in
   Ok (now, event)
 
+(* ------------------------------------------------------------------ *)
+(* Recording: one encoder per kind                                     *)
+
+let t_created = 0
+let t_enqueue = 1
+let t_dequeue = 2
+let t_drop = 3
+let t_ce_mark = 4
+let t_impaired = 5
+let t_vswitch_drop = 6
+let t_delivered = 7
+let t_pack_attach = 8
+let t_rwnd_rewrite = 9
+let t_alpha_update = 10
+let t_policer_drop = 11
+let t_dupack = 12
+let t_rto_fire = 13
+let t_int_hop = 14
+let t_int_strip = 15
+let t_attrib = 16
+
+let header tag ~c ~a ~b = tag lor ((c land 0xFF) lsl 5) lor (a lsl 13) lor (b lsl 38)
+
+(* [next < capacity], so the slot is in bounds. *)
+let[@inline] put r ~now h p0 p1 p2 p3 p4 p5 =
+  let buf = r.buf and o = r.next * width in
+  Array.unsafe_set buf o now;
+  Array.unsafe_set buf (o + 1) h;
+  Array.unsafe_set buf (o + 2) p0;
+  Array.unsafe_set buf (o + 3) p1;
+  Array.unsafe_set buf (o + 4) p2;
+  Array.unsafe_set buf (o + 5) p3;
+  Array.unsafe_set buf (o + 6) p4;
+  Array.unsafe_set buf (o + 7) p5;
+  r.next <- (if r.next + 1 = r.capacity then 0 else r.next + 1);
+  r.total <- r.total + 1
+
+let reasons = [| No_route; Buffer_full; Over_threshold; Wred; No_endpoint |]
+
+let reason_index = function
+  | No_route -> 0
+  | Buffer_full -> 1
+  | Over_threshold -> 2
+  | Wred -> 3
+  | No_endpoint -> 4
+
+let action_index = function
+  | Imp_lost -> 0
+  | Imp_corrupted -> 1
+  | Imp_duplicated _ -> 2
+  | Imp_pack_stripped -> 3
+  | Imp_reordered -> 4
+
+(* A float's 64 bits in two 32-bit halves: an OCaml int holds 63. *)
+let hi f = Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float f) 32)
+let lo f = Int64.to_int (Int64.bits_of_float f) land 0xFFFF_FFFF
+
+let float_of_halves hi lo =
+  Int64.float_of_bits (Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo))
+
+let w_created r ~now ~node ~kind ~pkt ~flow ~size =
+  put r ~now (header t_created ~c:0 ~a:node ~b:kind) pkt (flow_id flow) size 0 0 0
+
+let w_queue r ~now tag ~node ~port ~pkt ~size ~qbytes =
+  put r ~now (header tag ~c:0 ~a:node ~b:0) pkt port size qbytes 0 0
+
+let w_drop r ~now ~node ~port ~pkt ~size ~reason =
+  put r ~now (header t_drop ~c:(reason_index reason) ~a:node ~b:0) pkt port size 0 0 0
+
+let w_ce_mark r ~now ~node ~port ~pkt ~qbytes =
+  put r ~now (header t_ce_mark ~c:0 ~a:node ~b:0) pkt port qbytes 0 0 0
+
+let w_impaired r ~now ~link ~pkt ~action =
+  let copy =
+    match action with
+    | Imp_duplicated { copy } -> copy
+    | Imp_lost | Imp_corrupted | Imp_pack_stripped | Imp_reordered -> 0
+  in
+  put r ~now (header t_impaired ~c:(action_index action) ~a:link ~b:0) pkt copy 0 0 0 0
+
+let w_vswitch_drop r ~now ~node ~pkt ~egress =
+  put r ~now (header t_vswitch_drop ~c:(Bool.to_int egress) ~a:node ~b:0) pkt 0 0 0 0 0
+
+let w_delivered r ~now ~node ~pkt = put r ~now (header t_delivered ~c:0 ~a:node ~b:0) pkt 0 0 0 0 0
+
+(* The flow-keyed kinds with three int fields. *)
+let w_flow3 r ~now tag ~flow x y z = put r ~now (header tag ~c:0 ~a:(flow_id flow) ~b:0) x y z 0 0 0
+
+let w_alpha_update r ~now ~flow ~alpha ~fraction =
+  put r ~now
+    (header t_alpha_update ~c:0 ~a:(flow_id flow) ~b:0)
+    (hi alpha) (lo alpha) (hi fraction) (lo fraction) 0 0
+
+let w_rto_fire r ~now ~flow ~inferred ~count =
+  put r ~now (header t_rto_fire ~c:(Bool.to_int inferred) ~a:(flow_id flow) ~b:0) count 0 0 0 0 0
+
+let w_int_hop r ~now ~flow ~pkt ~depth ~hop ~port ~ingress ~egress ~qbytes ~svc_bps =
+  put r ~now
+    (header t_int_hop ~c:depth ~a:(flow_id flow) ~b:hop)
+    pkt port ingress egress qbytes svc_bps
+
+let w_int_strip r ~now ~node ~flow ~pkt ~hops ~exceeded =
+  put r ~now
+    (header t_int_strip ~c:(Bool.to_int exceeded) ~a:(flow_id flow) ~b:node)
+    pkt hops 0 0 0 0
+
+let w_attrib r ~now ~flow ~from_state ~to_state ~spent =
+  put r ~now (header t_attrib ~c:0 ~a:(flow_id flow) ~b:from_state) to_state spent 0 0 0 0
+
+(* The generic path: an event value, its strings interned here. *)
+let record r ~now = function
+  | Created { node; pkt; flow; size; kind } ->
+    w_created r ~now ~node:(intern node) ~kind:(intern kind) ~pkt ~flow ~size
+  | Enqueue { node; port; pkt; size; qbytes } ->
+    w_queue r ~now t_enqueue ~node:(intern node) ~port ~pkt ~size ~qbytes
+  | Dequeue { node; port; pkt; size; qbytes } ->
+    w_queue r ~now t_dequeue ~node:(intern node) ~port ~pkt ~size ~qbytes
+  | Drop { node; port; pkt; size; reason } ->
+    w_drop r ~now ~node:(intern node) ~port ~pkt ~size ~reason
+  | Ce_mark { node; port; pkt; qbytes } -> w_ce_mark r ~now ~node:(intern node) ~port ~pkt ~qbytes
+  | Impaired { link; pkt; action } -> w_impaired r ~now ~link:(intern link) ~pkt ~action
+  | Vswitch_drop { node; pkt; egress } -> w_vswitch_drop r ~now ~node:(intern node) ~pkt ~egress
+  | Delivered { node; pkt } -> w_delivered r ~now ~node:(intern node) ~pkt
+  | Pack_attach { flow; pkt; total; marked } -> w_flow3 r ~now t_pack_attach ~flow pkt total marked
+  | Rwnd_rewrite { flow; pkt; window; field } ->
+    w_flow3 r ~now t_rwnd_rewrite ~flow pkt window field
+  | Alpha_update { flow; alpha; fraction } -> w_alpha_update r ~now ~flow ~alpha ~fraction
+  | Policer_drop { flow; pkt; seq; window } -> w_flow3 r ~now t_policer_drop ~flow pkt seq window
+  | Dupack { flow; ack; count } -> w_flow3 r ~now t_dupack ~flow ack count 0
+  | Rto_fire { flow; inferred; count } -> w_rto_fire r ~now ~flow ~inferred ~count
+  | Int_hop { flow; pkt; depth; hop; port; ingress; egress; qbytes; svc_bps } ->
+    w_int_hop r ~now ~flow ~pkt ~depth ~hop:(intern hop) ~port ~ingress ~egress ~qbytes ~svc_bps
+  | Int_strip { node; flow; pkt; hops; exceeded } ->
+    w_int_strip r ~now ~node:(intern node) ~flow ~pkt ~hops ~exceeded
+  | Attrib_transition { flow; from_state; to_state; spent } ->
+    w_attrib r ~now ~flow ~from_state:(intern from_state) ~to_state:(intern to_state) ~spent
+
+let decode buf o =
+  let h = buf.(o + 1) in
+  let p i = buf.(o + 2 + i) in
+  let c = (h lsr 5) land 0xFF and a = (h lsr 13) land (max_ids - 1) and b = h lsr 38 in
+  let tag = h land 0x1F in
+  (* Only the flow-keyed kinds hold a flow id in [a]. *)
+  let flow () = flows.items.(a) in
+  let event =
+    if tag = t_created then
+      Created { node = label a; kind = label b; pkt = p 0; flow = flows.items.(p 1); size = p 2 }
+    else if tag = t_enqueue then
+      Enqueue { node = label a; pkt = p 0; port = p 1; size = p 2; qbytes = p 3 }
+    else if tag = t_dequeue then
+      Dequeue { node = label a; pkt = p 0; port = p 1; size = p 2; qbytes = p 3 }
+    else if tag = t_drop then
+      Drop { node = label a; pkt = p 0; port = p 1; size = p 2; reason = reasons.(c) }
+    else if tag = t_ce_mark then Ce_mark { node = label a; pkt = p 0; port = p 1; qbytes = p 2 }
+    else if tag = t_impaired then
+      Impaired
+        {
+          link = label a;
+          pkt = p 0;
+          action =
+            (match c with
+            | 0 -> Imp_lost
+            | 1 -> Imp_corrupted
+            | 2 -> Imp_duplicated { copy = p 1 }
+            | 3 -> Imp_pack_stripped
+            | _ -> Imp_reordered);
+        }
+    else if tag = t_vswitch_drop then Vswitch_drop { node = label a; pkt = p 0; egress = c = 1 }
+    else if tag = t_delivered then Delivered { node = label a; pkt = p 0 }
+    else if tag = t_pack_attach then Pack_attach { flow = flow (); pkt = p 0; total = p 1; marked = p 2 }
+    else if tag = t_rwnd_rewrite then Rwnd_rewrite { flow = flow (); pkt = p 0; window = p 1; field = p 2 }
+    else if tag = t_alpha_update then
+      Alpha_update
+        { flow = flow (); alpha = float_of_halves (p 0) (p 1); fraction = float_of_halves (p 2) (p 3) }
+    else if tag = t_policer_drop then Policer_drop { flow = flow (); pkt = p 0; seq = p 1; window = p 2 }
+    else if tag = t_dupack then Dupack { flow = flow (); ack = p 0; count = p 1 }
+    else if tag = t_rto_fire then Rto_fire { flow = flow (); inferred = c = 1; count = p 0 }
+    else if tag = t_int_hop then
+      Int_hop
+        {
+          flow = flow ();
+          pkt = p 0;
+          depth = c;
+          hop = label b;
+          port = p 1;
+          ingress = p 2;
+          egress = p 3;
+          qbytes = p 4;
+          svc_bps = p 5;
+        }
+    else if tag = t_int_strip then
+      Int_strip { node = label b; flow = flow (); pkt = p 0; hops = p 1; exceeded = c = 1 }
+    else Attrib_transition { flow = flow (); from_state = label b; to_state = label (p 0); spent = p 1 }
+  in
+  (buf.(o), event)
+
 let rec emit_unprofiled t ~now event =
   match t with
   | Null -> ()
-  | Ring r ->
-    r.times.(r.next) <- now;
-    r.slots.(r.next) <- event;
-    r.next <- (r.next + 1) mod Array.length r.slots;
-    r.total <- r.total + 1
+  | Ring r -> record r ~now event
   | Write write -> write (Json.to_string (event_to_json ~now event))
   | Tee (a, b) ->
     emit_unprofiled a ~now event;
@@ -545,16 +814,198 @@ let emit t ~now event =
     Profcore.leave tok
   | _ -> emit_unprofiled t ~now event
 
+(* ------------------------------------------------------------------ *)
+(* Per-kind emitters                                                   *)
+
+(* Each emitter writes a lone ring directly and builds the [event] only
+   for the sinks that need one (JSONL, tee, filter), through [emit]. *)
+let span () = if !Profcore.on then Profcore.enter Profcore.Site.trace_sink else -1
+let close tok = if tok >= 0 then Profcore.leave tok
+
+let created t ~now ~node ~kind (p : Packet.t) =
+  match t with
+  | Null -> ()
+  | Ring r ->
+    let s = span () in
+    w_created r ~now ~node ~kind ~pkt:p.id ~flow:p.key ~size:(Packet.wire_size p);
+    close s
+  | Write _ | Tee _ | Filter _ ->
+    emit t ~now
+      (Created
+         { node = label node; pkt = p.id; flow = p.key; size = Packet.wire_size p; kind = label kind })
+
+let enqueue t ~now ~node ~port ~pkt ~size ~qbytes =
+  match t with
+  | Null -> ()
+  | Ring r ->
+    let s = span () in
+    w_queue r ~now t_enqueue ~node ~port ~pkt ~size ~qbytes;
+    close s
+  | Write _ | Tee _ | Filter _ -> emit t ~now (Enqueue { node = label node; port; pkt; size; qbytes })
+
+let dequeue t ~now ~node ~port ~pkt ~size ~qbytes =
+  match t with
+  | Null -> ()
+  | Ring r ->
+    let s = span () in
+    w_queue r ~now t_dequeue ~node ~port ~pkt ~size ~qbytes;
+    close s
+  | Write _ | Tee _ | Filter _ -> emit t ~now (Dequeue { node = label node; port; pkt; size; qbytes })
+
+let drop t ~now ~node ~port ~pkt ~size ~reason =
+  match t with
+  | Null -> ()
+  | Ring r ->
+    let s = span () in
+    w_drop r ~now ~node ~port ~pkt ~size ~reason;
+    close s
+  | Write _ | Tee _ | Filter _ -> emit t ~now (Drop { node = label node; port; pkt; size; reason })
+
+let ce_mark t ~now ~node ~port ~pkt ~qbytes =
+  match t with
+  | Null -> ()
+  | Ring r ->
+    let s = span () in
+    w_ce_mark r ~now ~node ~port ~pkt ~qbytes;
+    close s
+  | Write _ | Tee _ | Filter _ -> emit t ~now (Ce_mark { node = label node; port; pkt; qbytes })
+
+let impaired t ~now ~link ~pkt ~action =
+  match t with
+  | Null -> ()
+  | Ring r ->
+    let s = span () in
+    w_impaired r ~now ~link ~pkt ~action;
+    close s
+  | Write _ | Tee _ | Filter _ -> emit t ~now (Impaired { link = label link; pkt; action })
+
+let vswitch_drop t ~now ~node ~pkt ~egress =
+  match t with
+  | Null -> ()
+  | Ring r ->
+    let s = span () in
+    w_vswitch_drop r ~now ~node ~pkt ~egress;
+    close s
+  | Write _ | Tee _ | Filter _ -> emit t ~now (Vswitch_drop { node = label node; pkt; egress })
+
+let delivered t ~now ~node ~pkt =
+  match t with
+  | Null -> ()
+  | Ring r ->
+    let s = span () in
+    w_delivered r ~now ~node ~pkt;
+    close s
+  | Write _ | Tee _ | Filter _ -> emit t ~now (Delivered { node = label node; pkt })
+
+let pack_attach t ~now ~flow ~pkt ~total ~marked =
+  match t with
+  | Null -> ()
+  | Ring r ->
+    let s = span () in
+    w_flow3 r ~now t_pack_attach ~flow pkt total marked;
+    close s
+  | Write _ | Tee _ | Filter _ -> emit t ~now (Pack_attach { flow; pkt; total; marked })
+
+let rwnd_rewrite t ~now ~flow ~pkt ~window ~field =
+  match t with
+  | Null -> ()
+  | Ring r ->
+    let s = span () in
+    w_flow3 r ~now t_rwnd_rewrite ~flow pkt window field;
+    close s
+  | Write _ | Tee _ | Filter _ -> emit t ~now (Rwnd_rewrite { flow; pkt; window; field })
+
+let alpha_update t ~now ~flow ~alpha ~fraction =
+  match t with
+  | Null -> ()
+  | Ring r ->
+    let s = span () in
+    w_alpha_update r ~now ~flow ~alpha ~fraction;
+    close s
+  | Write _ | Tee _ | Filter _ -> emit t ~now (Alpha_update { flow; alpha; fraction })
+
+let policer_drop t ~now ~flow ~pkt ~seq ~window =
+  match t with
+  | Null -> ()
+  | Ring r ->
+    let s = span () in
+    w_flow3 r ~now t_policer_drop ~flow pkt seq window;
+    close s
+  | Write _ | Tee _ | Filter _ -> emit t ~now (Policer_drop { flow; pkt; seq; window })
+
+let dupack t ~now ~flow ~ack ~count =
+  match t with
+  | Null -> ()
+  | Ring r ->
+    let s = span () in
+    w_flow3 r ~now t_dupack ~flow ack count 0;
+    close s
+  | Write _ | Tee _ | Filter _ -> emit t ~now (Dupack { flow; ack; count })
+
+let rto_fire t ~now ~flow ~inferred ~count =
+  match t with
+  | Null -> ()
+  | Ring r ->
+    let s = span () in
+    w_rto_fire r ~now ~flow ~inferred ~count;
+    close s
+  | Write _ | Tee _ | Filter _ -> emit t ~now (Rto_fire { flow; inferred; count })
+
+let int_hop t ~now ~flow ~pkt ~depth ~hop ~port ~ingress ~egress ~qbytes ~svc_bps =
+  match t with
+  | Null -> ()
+  | Ring r ->
+    let s = span () in
+    w_int_hop r ~now ~flow ~pkt ~depth ~hop ~port ~ingress ~egress ~qbytes ~svc_bps;
+    close s
+  | Write _ | Tee _ | Filter _ ->
+    emit t ~now
+      (Int_hop { flow; pkt; depth; hop = label hop; port; ingress; egress; qbytes; svc_bps })
+
+let int_strip t ~now ~node ~flow ~pkt ~hops ~exceeded =
+  match t with
+  | Null -> ()
+  | Ring r ->
+    let s = span () in
+    w_int_strip r ~now ~node ~flow ~pkt ~hops ~exceeded;
+    close s
+  | Write _ | Tee _ | Filter _ ->
+    emit t ~now (Int_strip { node = label node; flow; pkt; hops; exceeded })
+
+let attrib_transition t ~now ~flow ~from_state ~to_state ~spent =
+  match t with
+  | Null -> ()
+  | Ring r ->
+    let s = span () in
+    w_attrib r ~now ~flow ~from_state ~to_state ~spent;
+    close s
+  | Write _ | Tee _ | Filter _ ->
+    emit t ~now
+      (Attrib_transition
+         { flow; from_state = label from_state; to_state = label to_state; spent })
+
+(* ------------------------------------------------------------------ *)
+(* Reading a ring back                                                 *)
+
+(* The last [n] recorded events, oldest first. *)
+let ring_tail r n =
+  let n = Stdlib.max 0 (Stdlib.min n (Stdlib.min r.total r.capacity)) in
+  let first = r.next - n + if r.next >= n then 0 else r.capacity in
+  List.init n (fun i -> decode r.buf ((first + i) mod r.capacity * width))
+
 let rec events = function
   | Null | Write _ -> []
-  | Ring r ->
-    let capacity = Array.length r.slots in
-    let oldest = if r.total <= capacity then 0 else r.next in
-    List.init (Stdlib.min r.total capacity) (fun i ->
-        let j = (oldest + i) mod capacity in
-        (r.times.(j), r.slots.(j)))
+  | Ring r -> ring_tail r r.capacity
   | Tee (a, b) -> events a @ events b
   | Filter (_, inner) -> events inner
+
+let tail t ~n =
+  match t with
+  | Ring r -> ring_tail r n
+  | Null | Write _ | Tee _ | Filter _ ->
+    let all = events t in
+    let drop = List.length all - n in
+    List.filteri (fun i _ -> i >= drop) all
 
 let rec recorded = function
   | Null | Write _ -> 0

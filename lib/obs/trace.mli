@@ -5,13 +5,21 @@
     clock, so a trace of a deterministic run is itself deterministic —
     byte-identical across re-runs with the same seed.
 
-    The hot-path contract: callers guard with [enabled] so a disabled
-    tracer costs one load and one branch, and allocates nothing:
+    The hot-path contract: simulator components call the per-kind
+    emitters ({!enqueue}, {!int_hop}, ...), never {!emit}, under an
+    [enabled] guard, and pass names they interned ({!intern}) when they
+    were built:
 
     {[
       if Obs.Trace.enabled tracer then
-        Obs.Trace.emit tracer ~now (Obs.Trace.Ce_mark { ... })
+        Obs.Trace.ce_mark tracer ~now ~node ~port ~pkt:pkt.id ~qbytes
     ]}
+
+    A disabled tracer costs one load and one branch.  An emitter writing a
+    lone {!ring} stores a fixed 64-byte slot of ints and allocates
+    nothing (only {!alpha_update}, once per RTT, boxes its floats at the
+    call).  A JSONL, tee or filter sink gets an [event] value built by the
+    emitter, so its output is the same as {!emit}'s.
 
     Together the events form per-packet provenance: every packet id moves
     created → (enqueue/dequeue/ce_mark/impaired/pack_attach/rwnd_rewrite)*
@@ -97,6 +105,33 @@ type event =
           {!Attrib.state_label}, or ["complete"] as [to_state] when the
           flow's FCT snapshot was taken) after [spent] ns there. *)
 
+(** {2 Interned names}
+
+    Component names, packet kinds and attribution states enter a ring as
+    ids into one append-only, process-wide table, so decoding a ring
+    yields the strings that were recorded even after the components, or
+    {!Dcpkt.Int_meta}'s registry, were reset. *)
+
+type name = private int
+
+val intern : string -> name
+(** The id for a string, added on first sight.  Components intern their
+    names once, when they are created. *)
+
+val pkt_kind : Dcpkt.Packet.t -> name
+(** Classify a segment for [Created] events: ["syn"], ["syn_ack"],
+    ["rst"], ["fin"], ["data"], ["fack"] (a pure PACK-carrier injected by
+    the AC/DC receiver) or ["ack"]. *)
+
+val host_node : int -> name
+(** ["host<ip>"], the [node] of events a host's stack emits. *)
+
+val hop_name : int -> name
+(** The {!Dcpkt.Int_meta} registered name of a hop id, interned; cached
+    per id, so a stamped hop costs no hashing. *)
+
+(** {2 Sinks} *)
+
 type t
 (** A tracer: a sink plus its enabled flag. *)
 
@@ -104,7 +139,9 @@ val null : t
 (** The disabled tracer.  [enabled null = false]; [emit] is a no-op. *)
 
 val ring : ?capacity:int -> unit -> t
-(** Keep the last [capacity] (default 1024) events in memory. *)
+(** A flight recorder keeping the last [capacity] (default 1024) events
+    in one preallocated buffer of 64-byte slots that holds no pointer per
+    event. *)
 
 val jsonl : write:(string -> unit) -> t
 (** Stream each event as one compact JSON line to [write] (the string has
@@ -150,27 +187,72 @@ val flow_of_spec : string -> (Dcpkt.Flow_key.t, string) result
     a flow key. *)
 
 val enabled : t -> bool
+
 val emit : t -> now:Eventsim.Time_ns.t -> event -> unit
+(** Record an event value, for tests and offline use.  A ring encodes it
+    with the same per-kind writer the emitter of that kind uses. *)
+
+(** {2 Emitters}
+
+    One per constructor of {!event}, with its fields as arguments
+    ([node]/[link]/[hop]/state names as {!name}s). *)
+
+type now := Eventsim.Time_ns.t
+type flow := Dcpkt.Flow_key.t
+
+val created : t -> now:now -> node:name -> kind:name -> Dcpkt.Packet.t -> unit
+(** The packet entered the network at [node]; [kind] is usually
+    [pkt_kind p]. *)
+
+val enqueue : t -> now:now -> node:name -> port:int -> pkt:int -> size:int -> qbytes:int -> unit
+val dequeue : t -> now:now -> node:name -> port:int -> pkt:int -> size:int -> qbytes:int -> unit
+
+val drop :
+  t -> now:now -> node:name -> port:int -> pkt:int -> size:int -> reason:drop_reason -> unit
+
+val ce_mark : t -> now:now -> node:name -> port:int -> pkt:int -> qbytes:int -> unit
+val impaired : t -> now:now -> link:name -> pkt:int -> action:impair_action -> unit
+val vswitch_drop : t -> now:now -> node:name -> pkt:int -> egress:bool -> unit
+val delivered : t -> now:now -> node:name -> pkt:int -> unit
+val pack_attach : t -> now:now -> flow:flow -> pkt:int -> total:int -> marked:int -> unit
+val rwnd_rewrite : t -> now:now -> flow:flow -> pkt:int -> window:int -> field:int -> unit
+val alpha_update : t -> now:now -> flow:flow -> alpha:float -> fraction:float -> unit
+val policer_drop : t -> now:now -> flow:flow -> pkt:int -> seq:int -> window:int -> unit
+val dupack : t -> now:now -> flow:flow -> ack:int -> count:int -> unit
+val rto_fire : t -> now:now -> flow:flow -> inferred:bool -> count:int -> unit
+
+val int_hop :
+  t ->
+  now:now ->
+  flow:flow ->
+  pkt:int ->
+  depth:int ->
+  hop:name ->
+  port:int ->
+  ingress:int ->
+  egress:int ->
+  qbytes:int ->
+  svc_bps:int ->
+  unit
+(** A ring keeps [depth] in 8 bits: [0 <= depth < 256]. *)
+
+val int_strip :
+  t -> now:now -> node:name -> flow:flow -> pkt:int -> hops:int -> exceeded:bool -> unit
+
+val attrib_transition :
+  t -> now:now -> flow:flow -> from_state:name -> to_state:name -> spent:int -> unit
+
+(** {2 Reading a ring} *)
 
 val events : t -> (Eventsim.Time_ns.t * event) list
 (** Recorded events, oldest first.  Only ring tracers record; [[]]
     otherwise. *)
 
+val tail : t -> n:int -> (Eventsim.Time_ns.t * event) list
+(** The last [n] of {!events}, oldest first; a ring decodes only those. *)
+
 val recorded : t -> int
 (** Total events emitted to a ring tracer (including overwritten ones). *)
-
-val pkt_kind : Dcpkt.Packet.t -> string
-(** Classify a segment for [Created] events: ["syn"], ["syn_ack"],
-    ["rst"], ["fin"], ["data"], ["fack"] (a pure PACK-carrier injected by
-    the AC/DC receiver) or ["ack"]. *)
-
-val host_node : int -> string
-(** ["host<ip>"], the [node] of events a host's stack emits.  Built once
-    per host and shared, so tracing a packet formats no name. *)
-
-val created : ?kind:string -> node:string -> Dcpkt.Packet.t -> event
-(** The [Created] event for a packet entering the network at [node];
-    [kind] defaults to [pkt_kind]. *)
 
 val kind_of_event : event -> string
 (** The event's JSON ["ev"] tag (["created"], ["enqueue"], ...), which is

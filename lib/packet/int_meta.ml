@@ -1,13 +1,86 @@
-type hop = {
-  hop_id : int;
-  port : int;
-  ingress_ns : int;
-  mutable egress_ns : int;
-  qbytes : int;
-  svc_bps : int;
-}
+(* One stack is a flat int array: slot 0 holds the depth, hop [i] the
+   [fields] slots from [1 + i * fields], in path order.  No pointers, so
+   the GC never scans one and a pooled stack is never a young-into-old
+   store. *)
+type stack = int array
 
-let sojourn_ns h = h.egress_ns - h.ingress_ns
+let max_hops = 3
+let fields = 6
+let f_hop_id = 0
+let f_port = 1
+let f_ingress = 2
+let f_egress = 3
+let f_qbytes = 4
+let f_svc = 5
+
+(* Shared by every packet that carries no stack; [push] never writes it. *)
+let empty : stack = [| 0 |]
+
+let depth (s : stack) = Array.unsafe_get s 0
+
+let get (s : stack) i f =
+  if i < 0 || i >= depth s then invalid_arg "Int_meta: hop index out of range";
+  Array.unsafe_get s (1 + (i * fields) + f)
+
+let hop_id s i = get s i f_hop_id
+let port s i = get s i f_port
+let ingress_ns s i = get s i f_ingress
+let egress_ns s i = get s i f_egress
+let qbytes s i = get s i f_qbytes
+let svc_bps s i = get s i f_svc
+let sojourn_ns s i = egress_ns s i - ingress_ns s i
+
+(* The free list.  Stacks come back only from the strip point, so its
+   high-water mark is the most stacks ever stripped-and-unreleased at
+   once, not the number of packets. *)
+let pool : stack array ref = ref [||]
+let pooled = ref 0
+
+let acquire () =
+  if !pooled = 0 then Array.make (1 + (max_hops * fields)) 0
+  else begin
+    decr pooled;
+    !pool.(!pooled)
+  end
+
+let release s =
+  if s != empty then begin
+    s.(0) <- 0;
+    if !pooled = Array.length !pool then begin
+      let grown = Array.make (Stdlib.max 16 (2 * !pooled)) empty in
+      Array.blit !pool 0 grown 0 !pooled;
+      pool := grown
+    end;
+    !pool.(!pooled) <- s;
+    incr pooled
+  end
+
+let push s ~hop_id ~port ~ingress_ns ~egress_ns ~qbytes ~svc_bps =
+  let d = depth s in
+  if s == empty || d >= max_hops then invalid_arg "Int_meta.push: no room on the stack";
+  let b = 1 + (d * fields) in
+  s.(b + f_hop_id) <- hop_id;
+  s.(b + f_port) <- port;
+  s.(b + f_ingress) <- ingress_ns;
+  s.(b + f_egress) <- egress_ns;
+  s.(b + f_qbytes) <- qbytes;
+  s.(b + f_svc) <- svc_bps;
+  s.(0) <- d + 1
+
+let complete_top s ~egress_ns =
+  let d = depth s in
+  if d > 0 then begin
+    let i = 1 + ((d - 1) * fields) + f_egress in
+    if s.(i) = 0 then s.(i) <- egress_ns
+  end
+
+let copy s =
+  if depth s = 0 then empty
+  else begin
+    let c = acquire () in
+    Array.blit s 0 c 0 (1 + (depth s * fields));
+    c
+  end
 
 let the_enabled = ref false
 
@@ -34,13 +107,15 @@ let register ~name =
     if not (Hashtbl.mem names id) then Hashtbl.replace names id name;
     id
 
+(* [find] with a handler, not [find_opt]: the trace resolves a name per
+   stamped hop. *)
 let name id =
-  match Hashtbl.find_opt names id with Some n -> n | None -> Printf.sprintf "hop%d" id
+  match Hashtbl.find names id with n -> n | exception Not_found -> Printf.sprintf "hop%d" id
 
 (* Ids are 8-bit (see [register]) and ports nonnegative. *)
-let hop_key h = (h.port lsl 8) lor h.hop_id
+let hop_key s i = (port s i lsl 8) lor hop_id s i
 
-let hop_label h = Printf.sprintf "%s:%d" (name h.hop_id) h.port
+let hop_label s i = Printf.sprintf "%s:%d" (name (hop_id s i)) (port s i)
 
 let reset () =
   Hashtbl.reset ids;
@@ -58,12 +133,6 @@ let qbytes_unit = 256
 
 let svc_unit = 10_000_000
 
-let quantize h =
-  {
-    hop_id = h.hop_id land 0xFF;
-    port = h.port land 0xFF;
-    ingress_ns = 0;
-    egress_ns = min 0xFFFF_FFFF (max 0 (sojourn_ns h));
-    qbytes = min 0xFFFF (h.qbytes / qbytes_unit) * qbytes_unit;
-    svc_bps = min 0xFFFF (h.svc_bps / svc_unit) * svc_unit;
-  }
+let wire_sojourn_ns s i = min 0xFFFF_FFFF (max 0 (sojourn_ns s i))
+let wire_qbytes s i = min 0xFFFF (qbytes s i / qbytes_unit)
+let wire_svc s i = min 0xFFFF (svc_bps s i / svc_unit)

@@ -1,30 +1,99 @@
 (** In-band network telemetry (INT) metadata.
 
-    Switches push one {!hop} record per traversed hop onto a packet's
-    [int_stack] (see {!Packet.t}): ingress/egress timestamps, the queue
-    depth the packet found at enqueue, and the port's estimated service
-    rate.  The receiving vSwitch strips the stack and feeds it to the
-    observability sinks and to [Acdc.Int_feedback], giving enforced CC
-    laws the fabric-interior view PowerTCP-style window laws need.
+    Switches push one hop per traversed switch onto a packet's [int_stack]
+    (see {!Packet.t}): ingress/egress timestamps, the queue depth the
+    packet found at enqueue, and the port's estimated service rate.  The
+    receiving vSwitch strips the stack and feeds it to the observability
+    sinks and to [Obs.Int_feedback], giving enforced CC laws the
+    fabric-interior view PowerTCP-style window laws need.
 
-    The model record keeps full-precision nanosecond timestamps; the wire
+    The model keeps full-precision nanosecond timestamps; the wire
     encoding (a TCP option, see {!option_kind}) carries the quantized
     sojourn/queue/rate fields only.  Quantization is idempotent, so a
     decoded hop re-encodes byte-identically. *)
 
-type hop = {
-  hop_id : int;  (** switch identity from {!register}, 8 bits on the wire *)
-  port : int;  (** egress port index on that switch, 8 bits on the wire *)
-  ingress_ns : int;  (** virtual-clock time the hop admitted the packet *)
-  mutable egress_ns : int;
-      (** serialization-complete time; 0 while still queued.  Written once,
-          in place, by the queue that serializes the packet. *)
-  qbytes : int;  (** egress-queue depth found at enqueue, bytes *)
-  svc_bps : int;  (** per-port service-rate estimate, bits/sec *)
-}
+(** {2 The hop stack}
 
-val sojourn_ns : hop -> int
+    A stack is a flat, int-only buffer of at most {!max_hops} hops, read
+    in path order (hop 0 is the first switch).  Packets without telemetry
+    all share {!empty}.  The first stamp takes a stack from a free list
+    ({!acquire}); the receiving host's strip point hands it back
+    ({!release}) once every consumer has read it.  A dropped packet's
+    stack is simply collected, and {!Packet.copy} gives a duplicate its
+    own.  So a stack is valid while its packet carries it: consumers
+    handed one at strip time ([Obs.Int_sink.absorb],
+    [Obs.Attrib.absorb_hops], [Obs.Int_feedback] callbacks) read it
+    during the call and keep nothing. *)
+
+type stack
+
+val empty : stack
+(** The shared depth-0 stack.  Never pushed onto. *)
+
+val max_hops : int
+(** 3: the most hops the 40-byte TCP option space can carry. *)
+
+val depth : stack -> int
+
+(** Field accessors for hop [i], [0 <= i < depth]; raise
+    [Invalid_argument] otherwise. *)
+
+val hop_id : stack -> int -> int
+(** Switch identity from {!register}, 8 bits on the wire. *)
+
+val port : stack -> int -> int
+(** Egress port index on that switch, 8 bits on the wire. *)
+
+val ingress_ns : stack -> int -> int
+(** Virtual-clock time the hop admitted the packet. *)
+
+val egress_ns : stack -> int -> int
+(** Serialization-complete time; 0 while still queued.  Written once, in
+    place, by the queue that serializes the packet. *)
+
+val qbytes : stack -> int -> int
+(** Egress-queue depth found at enqueue, bytes. *)
+
+val svc_bps : stack -> int -> int
+(** Per-port service-rate estimate, bits/sec. *)
+
+val sojourn_ns : stack -> int -> int
 (** [egress_ns - ingress_ns]: queueing plus serialization time at the hop. *)
+
+val hop_key : stack -> int -> int
+(** The hop's (switch, port) pair as one int — a per-packet table key for
+    aggregating by hop without formatting {!hop_label}. *)
+
+val hop_label : stack -> int -> string
+(** ["<switch name>:<port>"], the hop's name in reports and channels. *)
+
+(** {2 Ownership}
+
+    Used by {!Packet}; nothing else needs them. *)
+
+val acquire : unit -> stack
+(** A depth-0 stack from the free list, or a fresh one when it is empty. *)
+
+val release : stack -> unit
+(** Return a stack to the free list.  The caller must hold the only
+    reference; releasing {!empty} is a no-op. *)
+
+val push :
+  stack ->
+  hop_id:int ->
+  port:int ->
+  ingress_ns:int ->
+  egress_ns:int ->
+  qbytes:int ->
+  svc_bps:int ->
+  unit
+(** Append a hop.  Raises [Invalid_argument] on {!empty} or a full stack. *)
+
+val complete_top : stack -> egress_ns:int -> unit
+(** Set the newest hop's egress time if it is still open (0). *)
+
+val copy : stack -> stack
+(** An independent stack with the same hops ({!empty} for depth 0). *)
 
 (** {2 Global enable}
 
@@ -48,18 +117,11 @@ val name : int -> string
 (** The registered name for an id, or ["hop<id>"] if unknown (e.g. a hop
     decoded from a foreign capture). *)
 
-val hop_key : hop -> int
-(** The hop's (switch, port) pair as one int — a per-packet table key for
-    aggregating by hop without formatting {!hop_label}. *)
-
-val hop_label : hop -> string
-(** ["<switch name>:<port>"], the hop's name in reports and channels. *)
-
 val reset : unit -> unit
 (** Forget all registrations and re-enable from a clean slate (test
     isolation). *)
 
-(** {2 Wire encoding constants}
+(** {2 Wire encoding}
 
     The stack rides in a TCP option: kind {!option_kind}, length, one
     count byte (bit 7 = the "hop count exceeded" flag, low bits = hop
@@ -68,7 +130,9 @@ val reset : unit -> unit
     saturating), service rate in {!svc_unit} bits/sec units (2,
     saturating).  TCP options are capped at 40 bytes, so a switch that
     finds no room sets the exceeded flag instead of stamping — standard
-    INT semantics for running out of metadata space. *)
+    INT semantics for running out of metadata space.  A decoded hop has
+    ingress 0 and its sojourn as egress, so re-encoding it is the
+    identity. *)
 
 val option_kind : int
 (** 254: the second RFC 4727 experimental TCP option kind (PACK uses
@@ -86,8 +150,11 @@ val qbytes_unit : int
 val svc_unit : int
 (** 10_000_000: service rate is carried in 10 Mbit/s units. *)
 
-val quantize : hop -> hop
-(** The hop as the wire represents it: sojourn folded into [egress_ns]
-    (with [ingress_ns = 0]) and saturated to 32 bits, [qbytes] and
-    [svc_bps] rounded down to their carrier units.  [quantize] is
-    idempotent — applying it to a decoded hop is the identity. *)
+val wire_sojourn_ns : stack -> int -> int
+(** Hop [i]'s sojourn saturated to the 32-bit wire field. *)
+
+val wire_qbytes : stack -> int -> int
+(** Hop [i]'s queue depth in {!qbytes_unit}s, saturated to 16 bits. *)
+
+val wire_svc : stack -> int -> int
+(** Hop [i]'s service rate in {!svc_unit}s, saturated to 16 bits. *)

@@ -21,7 +21,7 @@ type t = {
   mutable vm_ect : bool;
   mutable rwnd_field : int;
   mutable options : tcp_option list;
-  mutable int_stack : Int_meta.hop list;
+  mutable int_stack : Int_meta.stack;
   mutable int_exceeded : bool;
   payload : int;
   mutable sent_at : Eventsim.Time_ns.t;
@@ -51,7 +51,7 @@ let dummy =
     vm_ect = false;
     rwnd_field = 0;
     options = [];
-    int_stack = [];
+    int_stack = Int_meta.empty;
     int_exceeded = false;
     payload = 0;
     sent_at = Eventsim.Time_ns.zero;
@@ -77,7 +77,7 @@ let create ~key ~seq ~ack ~syn ~fin ~rst ~has_ack ~ecn ~rwnd_field ~options ~pay
     vm_ect = false;
     rwnd_field;
     options;
-    int_stack = [];
+    int_stack = Int_meta.empty;
     int_exceeded = false;
     payload;
     sent_at = Eventsim.Time_ns.zero;
@@ -93,17 +93,12 @@ let segment ~key ~seq ~ack ~ecn ~rwnd_field ~payload =
 
 (* A wire duplicate is a distinct frame: it gets its own id (for tracing)
    and its own mutable fields, so a vSwitch rewriting one copy cannot
-   corrupt the other.  That includes the open INT hop, which the next
-   serializer completes in place: the copy gets its own.  Completed hops
-   are never written again and stay shared. *)
+   corrupt the other.  That includes the INT stack, which the next
+   serializer completes in place and the strip point recycles: the copy
+   owns its own. *)
 let copy t =
   incr next_id;
-  let int_stack =
-    match t.int_stack with
-    | h :: tl when h.Int_meta.egress_ns = 0 -> { h with Int_meta.egress_ns = 0 } :: tl
-    | stack -> stack
-  in
-  { t with id = !next_id; int_stack }
+  { t with id = !next_id; int_stack = Int_meta.copy t.int_stack }
 
 let option_bytes = function
   | Mss _ -> 4
@@ -117,8 +112,8 @@ let base_header = 54
 let plain_option_bytes t = List.fold_left (fun acc o -> acc + option_bytes o) 0 t.options
 
 let int_shim_bytes t =
-  if t.int_stack == [] && not t.int_exceeded then 0
-  else Int_meta.shim_wire_bytes ~hops:(List.length t.int_stack)
+  let hops = Int_meta.depth t.int_stack in
+  if hops = 0 && not t.int_exceeded then 0 else Int_meta.shim_wire_bytes ~hops
 
 let header_bytes t = base_header + plain_option_bytes t + int_shim_bytes t
 
@@ -199,21 +194,21 @@ let pad4 n = (n + 3) land lnot 3
 
 let can_add_int_hop t =
   pad4
-    (plain_option_bytes t + Int_meta.shim_wire_bytes ~hops:(List.length t.int_stack + 1))
+    (plain_option_bytes t + Int_meta.shim_wire_bytes ~hops:(Int_meta.depth t.int_stack + 1))
   <= max_tcp_option_bytes
 
-let add_int_hop t hop =
-  if can_add_int_hop t then t.int_stack <- hop :: t.int_stack else t.int_exceeded <- true
+let add_int_hop t ~hop_id ~port ~ingress_ns ~egress_ns ~qbytes ~svc_bps =
+  if can_add_int_hop t then begin
+    if t.int_stack == Int_meta.empty then t.int_stack <- Int_meta.acquire ();
+    Int_meta.push t.int_stack ~hop_id ~port ~ingress_ns ~egress_ns ~qbytes ~svc_bps
+  end
+  else t.int_exceeded <- true
 
-let complete_int_hop t ~egress_ns =
-  match t.int_stack with
-  | h :: _ when h.Int_meta.egress_ns = 0 -> h.Int_meta.egress_ns <- egress_ns
-  | _ -> ()
+let complete_int_hop t ~egress_ns = Int_meta.complete_top t.int_stack ~egress_ns
 
-let int_hops t = Array.of_list (List.rev t.int_stack)
-
-let clear_int t =
-  t.int_stack <- [];
+let release_int t =
+  Int_meta.release t.int_stack;
+  t.int_stack <- Int_meta.empty;
   t.int_exceeded <- false
 
 (* ------------------------------------------------------------------ *)
@@ -316,21 +311,19 @@ let encode_options t =
   (* The INT shim rides after the regular options (notably after PACK on
      AC/DC ACKs): kind, length, count byte (bit 7 = exceeded), then the
      hops oldest-first in their quantized wire form. *)
-  if t.int_stack != [] || t.int_exceeded then begin
-    let hops = List.rev t.int_stack in
-    let n = List.length hops in
+  let s = t.int_stack in
+  let n = Int_meta.depth s in
+  if n > 0 || t.int_exceeded then begin
     Buffer.add_uint8 buf Int_meta.option_kind;
     Buffer.add_uint8 buf (Int_meta.shim_wire_bytes ~hops:n);
     Buffer.add_uint8 buf ((if t.int_exceeded then 0x80 else 0) lor (n land 0x7F));
-    List.iter
-      (fun h ->
-        let q = Int_meta.quantize h in
-        Buffer.add_uint8 buf q.Int_meta.hop_id;
-        Buffer.add_uint8 buf q.Int_meta.port;
-        Buffer.add_int32_be buf (Int32.of_int q.Int_meta.egress_ns);
-        Buffer.add_uint16_be buf (q.Int_meta.qbytes / Int_meta.qbytes_unit);
-        Buffer.add_uint16_be buf (q.Int_meta.svc_bps / Int_meta.svc_unit))
-      hops
+    for i = 0 to n - 1 do
+      Buffer.add_uint8 buf (Int_meta.hop_id s i land 0xFF);
+      Buffer.add_uint8 buf (Int_meta.port s i land 0xFF);
+      Buffer.add_int32_be buf (Int32.of_int (Int_meta.wire_sojourn_ns s i));
+      Buffer.add_uint16_be buf (Int_meta.wire_qbytes s i);
+      Buffer.add_uint16_be buf (Int_meta.wire_svc s i)
+    done
   end;
   (* Pad to a 32-bit boundary with end-of-option-list bytes so the data
      offset is expressible; the model's [option_bytes] accounting stays
@@ -386,11 +379,10 @@ let to_wire t =
 
 exception Wire of string
 
-(* Returns the plain options plus the INT stack (newest-first, matching
-   the model's [int_stack]) and the exceeded flag. *)
+(* Returns the plain options plus the INT stack and the exceeded flag. *)
 let decode_options b ~off ~len =
   let stop = off + len in
-  let int_stack = ref [] in
+  let int_stack = ref Int_meta.empty in
   let int_exceeded = ref false in
   let int_seen = ref false in
   let rec loop acc pos =
@@ -410,23 +402,19 @@ let decode_options b ~off ~len =
           let n = count_byte land 0x7F in
           if olen <> Int_meta.shim_wire_bytes ~hops:n then
             raise (Wire "bad INT option length");
+          if n > Int_meta.max_hops then raise (Wire "INT stack deeper than the option space");
           int_exceeded := count_byte land 0x80 <> 0;
+          if n > 0 then int_stack := Int_meta.acquire ();
           for i = 0 to n - 1 do
             let p = pos + 3 + (i * Int_meta.hop_wire_bytes) in
             (* Wire hops are already quantized: sojourn lives in
-               [egress_ns] with a zero ingress, exactly what
-               [Int_meta.quantize] produces, so re-encoding is the
+               [egress_ns] with a zero ingress, so re-encoding is the
                identity. *)
-            int_stack :=
-              {
-                Int_meta.hop_id = Bytes.get_uint8 b p;
-                port = Bytes.get_uint8 b (p + 1);
-                ingress_ns = 0;
-                egress_ns = get32 b (p + 2);
-                qbytes = Bytes.get_uint16_be b (p + 6) * Int_meta.qbytes_unit;
-                svc_bps = Bytes.get_uint16_be b (p + 8) * Int_meta.svc_unit;
-              }
-              :: !int_stack
+            Int_meta.push !int_stack ~hop_id:(Bytes.get_uint8 b p)
+              ~port:(Bytes.get_uint8 b (p + 1))
+              ~ingress_ns:0 ~egress_ns:(get32 b (p + 2))
+              ~qbytes:(Bytes.get_uint16_be b (p + 6) * Int_meta.qbytes_unit)
+              ~svc_bps:(Bytes.get_uint16_be b (p + 8) * Int_meta.svc_unit)
           done;
           loop acc (pos + olen)
         end

@@ -37,10 +37,11 @@ type t = {
           the original setting (§3.2). *)
   mutable rwnd_field : int;  (** 16-bit window field, before scaling *)
   mutable options : tcp_option list;
-  mutable int_stack : Int_meta.hop list;
-      (** in-band telemetry hops, newest-first (the head is the hop the
-          packet is currently transiting); pushed by switches, stripped by
-          the receiving vSwitch before the guest sees the packet *)
+  mutable int_stack : Int_meta.stack;
+      (** in-band telemetry hops in path order (the last is the hop the
+          packet is currently transiting); {!Int_meta.empty} until a
+          switch stamps, released by the receiving vSwitch before the
+          guest sees the packet (see {!release_int}) *)
   mutable int_exceeded : bool;
       (** set by a switch that found no room to stamp another hop *)
   payload : int;  (** payload bytes (0 for pure ACKs) *)
@@ -81,9 +82,8 @@ val copy : t -> t
 (** A field-for-field copy with a fresh [id] — the model of a duplicated
     wire frame.  Because fields are mutable and the same packet value flows
     through the whole pipeline, fault-injection layers must deliver a
-    [copy] rather than aliasing the original.  An open INT hop (the one the
-    next serializer completes in place) is copied too; the two frames never
-    share it. *)
+    [copy] rather than aliasing the original.  The copy owns its own INT
+    stack: the two frames never share one. *)
 
 val header_bytes : t -> int
 (** Ethernet + IP + TCP header bytes including options. *)
@@ -125,25 +125,29 @@ val pack_marked : t -> int
 
     Per-hop telemetry stamped by switches (see {!Int_meta}).  The stack
     counts toward [header_bytes]/[wire_size], so stamped packets really
-    grow on the wire and in buffers. *)
+    grow on the wire and in buffers.  Its life: the first stamp takes a
+    pooled stack, queues complete hops in place, and the receiving host's
+    strip point reads it and calls {!release_int}, which returns it to
+    the pool.  Stamping, completing and releasing allocate nothing once
+    the pool is warm. *)
 
 val can_add_int_hop : t -> bool
 (** Whether one more hop still fits the 40-byte TCP option space
     alongside the packet's other options (padding included). *)
 
-val add_int_hop : t -> Int_meta.hop -> unit
-(** Push a hop, or set [int_exceeded] when {!can_add_int_hop} is false. *)
+val add_int_hop :
+  t -> hop_id:int -> port:int -> ingress_ns:int -> egress_ns:int -> qbytes:int -> svc_bps:int -> unit
+(** Push a hop ([egress_ns] 0 while the packet is still queued), or set
+    [int_exceeded] when {!can_add_int_hop} is false. *)
 
 val complete_int_hop : t -> egress_ns:int -> unit
 (** Fill the top hop's egress timestamp, in place, if it is still open
     (egress 0).  Hops completed at earlier switches are left untouched. *)
 
-val int_hops : t -> Int_meta.hop array
-(** The stack in path order (first hop first). *)
-
-val clear_int : t -> unit
-(** Strip the stack and the exceeded flag (done by the receiving
-    vSwitch before guest delivery). *)
+val release_int : t -> unit
+(** Strip the stack and the exceeded flag and return the stack to the
+    pool (done by the receiving vSwitch once the stack's consumers have
+    read it).  No reference to the old stack may outlive this call. *)
 
 (** {2 Wire serialization}
 

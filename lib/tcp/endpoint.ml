@@ -219,8 +219,9 @@ let advertised_window_field t =
 let emit t pkt =
   pkt.Packet.sent_at <- Engine.now t.engine;
   if Obs.Trace.enabled t.tracer then
-    Obs.Trace.emit t.tracer ~now:(Engine.now t.engine)
-      (Obs.Trace.created ~node:(Obs.Trace.host_node t.key.Dcpkt.Flow_key.src_ip) pkt);
+    Obs.Trace.created t.tracer ~now:(Engine.now t.engine)
+      ~node:(Obs.Trace.host_node t.key.Dcpkt.Flow_key.src_ip)
+      ~kind:(Obs.Trace.pkt_kind pkt) pkt;
   t.out pkt
 
 let make_ack t =
@@ -303,8 +304,8 @@ and handle_rto t =
     t.timeouts <- t.timeouts + 1;
     t.rto_recovering <- true;
     if Obs.Trace.enabled t.tracer then
-      Obs.Trace.emit t.tracer ~now:(Engine.now t.engine)
-        (Obs.Trace.Rto_fire { flow = t.key; inferred = false; count = t.timeouts });
+      Obs.Trace.rto_fire t.tracer ~now:(Engine.now t.engine) ~flow:t.key ~inferred:false
+        ~count:t.timeouts;
     Log.debug (fun m ->
         m "%a: RTO #%d (una=%d nxt=%d cwnd=%d)" Flow_key.pp t.key t.timeouts t.snd_una
           t.snd_nxt t.cwnd);
@@ -660,8 +661,8 @@ let handle_ack t (pkt : Packet.t) =
   else if pkt.ack = t.snd_una && t.snd_nxt > t.snd_una && pkt.payload = 0 then begin
     t.dupacks <- t.dupacks + 1;
     if Obs.Trace.enabled t.tracer then
-      Obs.Trace.emit t.tracer ~now:(Engine.now t.engine)
-        (Obs.Trace.Dupack { flow = t.key; ack = pkt.ack; count = t.dupacks });
+      Obs.Trace.dupack t.tracer ~now:(Engine.now t.engine) ~flow:t.key ~ack:pkt.ack
+        ~count:t.dupacks;
     if t.in_recovery then begin
       (* The SACK information freshly absorbed may open the window. *)
       retransmit_holes t;

@@ -11,7 +11,7 @@ let no_op name =
 
 type t = {
   mutable processors : processor list; (* registration order *)
-  name : string;
+  node : Obs.Trace.name;
   clock : unit -> Eventsim.Time_ns.t;
   tracer : Obs.Trace.t;
   m_egress_packets : Obs.Metrics.counter;
@@ -24,7 +24,7 @@ let create ?(name = "vswitch") ?(clock = fun () -> Eventsim.Time_ns.zero) () =
   let scope = Obs.Metrics.scope (Obs.Runtime.metrics ()) "vswitch" in
   {
     processors = [];
-    name;
+    node = Obs.Trace.intern name;
     clock;
     tracer = Obs.Runtime.tracer ();
     m_egress_packets = Obs.Metrics.scope_counter scope "egress_packets";
@@ -54,8 +54,7 @@ let rec run_ingress processors pkt ~inject =
 
 let trace_drop t (pkt : Dcpkt.Packet.t) ~egress =
   if Obs.Trace.enabled t.tracer then
-    Obs.Trace.emit t.tracer ~now:(t.clock ())
-      (Obs.Trace.Vswitch_drop { node = t.name; pkt = pkt.Dcpkt.Packet.id; egress })
+    Obs.Trace.vswitch_drop t.tracer ~now:(t.clock ()) ~node:t.node ~pkt:pkt.Dcpkt.Packet.id ~egress
 
 let process_egress_unprofiled t pkt ~emit =
   Obs.Metrics.incr t.m_egress_packets;

@@ -563,23 +563,16 @@ let prop_window_and_alpha_invariants =
 (* INT feedback channel                                                *)
 
 let test_int_feedback_subscriptions () =
-  Acdc.Int_feedback.reset ();
+  Obs.Int_feedback.reset ();
   let other = Flow_key.make ~src_ip:9 ~dst_ip:10 ~src_port:1 ~dst_port:2 in
-  let hop =
-    {
-      Dcpkt.Int_meta.hop_id = 0;
-      port = 0;
-      ingress_ns = 100;
-      egress_ns = 300;
-      qbytes = 512;
-      svc_bps = 10_000_000_000;
-    }
-  in
+  let stamped = Packet.make ~key ~payload:0 () in
+  Packet.add_int_hop stamped ~hop_id:0 ~port:0 ~ingress_ns:100 ~egress_ns:300 ~qbytes:512
+    ~svc_bps:10_000_000_000;
   let filtered = ref 0 and all = ref 0 in
-  let sub_f = Acdc.Int_feedback.subscribe ~flow:key (fun ~now:_ ~flow:_ _ -> incr filtered) in
-  let sub_a = Acdc.Int_feedback.subscribe (fun ~now:_ ~flow:_ _ -> incr all) in
-  check_int "two subscribers" 2 (Acdc.Int_feedback.subscriber_count ());
-  let dispatch flow = Acdc.Int_feedback.dispatch ~now:0 ~flow [| hop |] in
+  let sub_f = Obs.Int_feedback.subscribe ~flow:key (fun ~now:_ ~flow:_ _ -> incr filtered) in
+  let sub_a = Obs.Int_feedback.subscribe (fun ~now:_ ~flow:_ _ -> incr all) in
+  check_int "two subscribers" 2 (Obs.Int_feedback.subscriber_count ());
+  let dispatch flow = Obs.Int_feedback.dispatch ~now:0 ~flow stamped.Packet.int_stack in
   dispatch key;
   dispatch rkey;
   dispatch other;
@@ -587,13 +580,13 @@ let test_int_feedback_subscriptions () =
      under the reversed 4-tuple but belongs to the same subscription. *)
   check_int "filtered sees both directions only" 2 !filtered;
   check_int "unfiltered sees everything" 3 !all;
-  Acdc.Int_feedback.unsubscribe sub_f;
+  Obs.Int_feedback.unsubscribe sub_f;
   dispatch key;
   check_int "unsubscribed stops delivery" 2 !filtered;
   check_int "survivor still delivered" 4 !all;
-  Acdc.Int_feedback.unsubscribe sub_a;
-  check_int "all unsubscribed" 0 (Acdc.Int_feedback.subscriber_count ());
-  Acdc.Int_feedback.reset ()
+  Obs.Int_feedback.unsubscribe sub_a;
+  check_int "all unsubscribed" 0 (Obs.Int_feedback.subscriber_count ());
+  Obs.Int_feedback.reset ()
 
 let acdc_qtests = List.map QCheck_alcotest.to_alcotest [ prop_window_and_alpha_invariants ]
 

@@ -70,15 +70,21 @@ let test_second_complete_replaces () =
 let test_hop_decomposition () =
   let t = fresh () in
   Attrib.start t ~now:Time_ns.zero flow;
-  let hop ~id ~port ~sojourn =
-    { Dcpkt.Int_meta.hop_id = id; port; ingress_ns = 100; egress_ns = 100 + sojourn;
-      qbytes = 0; svc_bps = 10_000_000_000 }
-  in
   let sw = Dcpkt.Int_meta.register ~name:"attrib-test-sw" in
-  Attrib.absorb_hops t flow [| hop ~id:sw ~port:1 ~sojourn:500 |];
-  Attrib.absorb_hops t flow [| hop ~id:sw ~port:1 ~sojourn:300; hop ~id:sw ~port:2 ~sojourn:50 |];
-  Attrib.absorb_hops t flow [||] (* unstamped packet: not counted *);
-  Attrib.absorb_hops t other [| hop ~id:sw ~port:1 ~sojourn:999 |] (* untracked: no-op *);
+  (* (port, sojourn) per hop, stamped onto a packet as switches do. *)
+  let stack hops =
+    let pkt = Dcpkt.Packet.make ~key:flow ~payload:0 () in
+    List.iter
+      (fun (port, sojourn) ->
+        Dcpkt.Packet.add_int_hop pkt ~hop_id:sw ~port ~ingress_ns:100
+          ~egress_ns:(100 + sojourn) ~qbytes:0 ~svc_bps:10_000_000_000)
+      hops;
+    pkt.Dcpkt.Packet.int_stack
+  in
+  Attrib.absorb_hops t flow (stack [ (1, 500) ]);
+  Attrib.absorb_hops t flow (stack [ (1, 300); (2, 50) ]);
+  Attrib.absorb_hops t flow Dcpkt.Int_meta.empty (* unstamped packet: not counted *);
+  Attrib.absorb_hops t other (stack [ (1, 999) ]) (* untracked: no-op *);
   Attrib.complete t ~now:(Time_ns.us 10) ~tracer:Trace.null flow;
   match Attrib.find_snapshot t flow with
   | None -> Alcotest.fail "no snapshot"

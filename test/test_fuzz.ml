@@ -20,7 +20,10 @@ let test_seeded_batch_holds () =
         o.Fuzz.violations;
       check_int
         (Printf.sprintf "seed %d completes every message" seed)
-        o.Fuzz.expected o.Fuzz.completed)
+        o.Fuzz.expected o.Fuzz.completed;
+      check_bool
+        (Printf.sprintf "seed %d carries no black box" seed)
+        true (o.Fuzz.black_box = []))
     [ 1; 2; 3; 4; 5 ]
 
 (* Satellite: a fixed-seed fuzz report is byte-identical across two

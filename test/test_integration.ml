@@ -544,10 +544,9 @@ let test_sequential_app_ordering () =
 (* In-band telemetry                                                   *)
 
 (* INT is process-global state (enable flag, ambient sink, feedback
-   registry): every test runs in its own INT-on run, with the feedback
-   registry scrubbed on the way in. *)
+   registry): every test runs in its own INT-on run, which starts with no
+   feedback subscriptions. *)
 let with_int ?(trace = Obs.Runtime.off.trace) f =
-  Acdc.Int_feedback.reset ();
   Obs.Runtime.with_run { Obs.Runtime.off with int = true; trace } f
 
 (* The stamps and the txq sojourn instruments observe the same two
@@ -563,18 +562,21 @@ let test_int_attribution_matches_txq () =
   let conns = Experiments.Harness.long_lived_pairs net scheme ~pairs:1 in
   let per_port : (string, int) Hashtbl.t = Hashtbl.create 8 in
   let sub =
-    Acdc.Int_feedback.subscribe (fun ~now:_ ~flow:_ hops ->
-        Array.iter
-          (fun (h : Dcpkt.Int_meta.hop) ->
-            let scope = Printf.sprintf "txq.%s.port%d" (Dcpkt.Int_meta.name h.hop_id) h.port in
-            let prev = Option.value ~default:0 (Hashtbl.find_opt per_port scope) in
-            Hashtbl.replace per_port scope (prev + Dcpkt.Int_meta.sojourn_ns h))
-          hops)
+    Obs.Int_feedback.subscribe (fun ~now:_ ~flow:_ hops ->
+        for i = 0 to Dcpkt.Int_meta.depth hops - 1 do
+          let scope =
+            Printf.sprintf "txq.%s.port%d"
+              (Dcpkt.Int_meta.name (Dcpkt.Int_meta.hop_id hops i))
+              (Dcpkt.Int_meta.port hops i)
+          in
+          let prev = Option.value ~default:0 (Hashtbl.find_opt per_port scope) in
+          Hashtbl.replace per_port scope (prev + Dcpkt.Int_meta.sojourn_ns hops i)
+        done)
   in
   ignore
     (Experiments.Harness.measure_goodput net conns ~warmup:(Time_ns.ms 50)
        ~duration:(Time_ns.ms 100));
-  Acdc.Int_feedback.unsubscribe sub;
+  Obs.Int_feedback.unsubscribe sub;
   Topology.shutdown net;
   let metrics = Obs.Runtime.metrics () in
   let busiest = ref ("", 0, 0) in
@@ -613,11 +615,11 @@ let test_int_option_space_exceeded () =
   Conn.send_forever conn;
   let max_depth = ref 0 in
   let sub =
-    Acdc.Int_feedback.subscribe (fun ~now:_ ~flow:_ hops ->
-        max_depth := max !max_depth (Array.length hops))
+    Obs.Int_feedback.subscribe (fun ~now:_ ~flow:_ hops ->
+        max_depth := max !max_depth (Dcpkt.Int_meta.depth hops))
   in
   Engine.run ~until:(Time_ns.ms 50) engine;
-  Acdc.Int_feedback.unsubscribe sub;
+  Obs.Int_feedback.unsubscribe sub;
   Topology.shutdown net;
   check_int "option space caps the stack at 3 hops" 3 !max_depth;
   match Obs.Json.member "exceeded" (Obs.Int_sink.to_json (Obs.Runtime.int_sink ())) with
@@ -694,7 +696,6 @@ let test_run_byte_identity () =
    bracket: the simulator events it fired and its report as JSON. *)
 let purity_run config =
   Dcpkt.Packet.reset_ids ();
-  Acdc.Int_feedback.reset ();
   Obs.Runtime.with_run config @@ fun () ->
   let events0 = Engine.total_events_processed () in
   let scheme = Experiments.Harness.acdc () in
@@ -815,15 +816,9 @@ let test_multi_id_reports () =
 (* Datapath allocation ceiling                                         *)
 
 (* Minor words allocated per switch-forwarded packet in the steady state
-   of a seeded AC/DC dumbbell with observability off.  What remains is
-   the packets themselves (a 20-word record per data segment and per ACK,
-   each forwarded by two switches) and the PACK option each ACK carries:
-   11.1 words here.  The ceiling is that figure rounded up; raise it only
-   with a measurement that explains the new allocation. *)
-let words_per_pkt_ceiling = 12.0
-
-let test_datapath_allocation_ceiling () =
-  Obs.Runtime.with_run Obs.Runtime.off @@ fun () ->
+   of a seeded 4-pair AC/DC dumbbell run under [config]. *)
+let datapath_words_per_pkt config =
+  Obs.Runtime.with_run config @@ fun () ->
   let params = Params.with_ecn Params.default in
   let engine = Engine.create () in
   let pairs = 4 in
@@ -845,11 +840,43 @@ let test_datapath_allocation_ceiling () =
   let pkts = Topology.total_forwarded net - pkts0 in
   Topology.shutdown net;
   check_bool "window forwards packets" true (pkts > 10_000);
-  let per_pkt = words /. float_of_int pkts in
+  words /. float_of_int pkts
+
+(* With observability off, what remains is the packets themselves (a
+   20-word record per data segment and per ACK, each forwarded by two
+   switches) and the PACK option each ACK carries: 11.1 words here.  The
+   ceiling is that figure rounded up; raise it only with a measurement
+   that explains the new allocation. *)
+let words_per_pkt_ceiling = 12.0
+
+let test_datapath_allocation_ceiling () =
+  let per_pkt = datapath_words_per_pkt Obs.Runtime.off in
   check_bool
     (Printf.sprintf "%.2f minor words/pkt <= %.0f" per_pkt words_per_pkt_ceiling)
     true
     (per_pkt <= words_per_pkt_ceiling)
+
+(* The same run with INT, attribution and a 16384-event trace ring on:
+   stacks are pooled and the ring stores ints, so the sinks add little
+   beyond the bypass (11.5 words here, against 74 when each hop was a
+   record and each event a block).  The ceiling is that figure rounded
+   up, with the same rule. *)
+let observed_words_per_pkt_ceiling = 14.0
+
+let test_observed_allocation_ceiling () =
+  let per_pkt =
+    datapath_words_per_pkt
+      {
+        Obs.Runtime.off with
+        int = true;
+        attrib = true;
+        trace = Sink (Obs.Trace.ring ~capacity:16384 ());
+      }
+  in
+  check_bool
+    (Printf.sprintf "%.2f minor words/pkt <= %.0f" per_pkt observed_words_per_pkt_ceiling)
+    true
+    (per_pkt <= observed_words_per_pkt_ceiling)
 
 let () =
   Alcotest.run "integration"
@@ -895,6 +922,8 @@ let () =
       ( "datapath",
         [
           Alcotest.test_case "allocation ceiling" `Quick test_datapath_allocation_ceiling;
+          Alcotest.test_case "observed datapath allocation ceiling" `Quick
+            test_observed_allocation_ceiling;
         ] );
       ( "sinks",
         [

@@ -108,11 +108,10 @@ let test_null_and_tee () =
 (* Determinism: the same seeded simulation twice produces byte-identical
    JSONL traces (virtual timestamps, no wall-clock anywhere).           *)
 
-let trace_of_run () =
+(* A seeded 2-pair AC/DC dumbbell, 5 ms of it, under [config]. *)
+let run_dumbbell config =
   Dcpkt.Packet.reset_ids ();
-  let buf = Buffer.create 4096 in
-  let tracer = Trace.jsonl ~write:(fun l -> Buffer.add_string buf l; Buffer.add_char buf '\n') in
-  Obs.Runtime.with_run { Obs.Runtime.off with trace = Sink tracer } @@ fun () ->
+  Obs.Runtime.with_run config @@ fun () ->
   let params = Fabric.Params.with_ecn Fabric.Params.default in
   let engine = Engine.create () in
   let net =
@@ -134,7 +133,15 @@ let trace_of_run () =
   in
   ignore conns;
   Engine.run ~until:(Time_ns.ms 5) engine;
-  Fabric.Topology.shutdown net;
+  Fabric.Topology.shutdown net
+
+let jsonl_buffer () =
+  let buf = Buffer.create 4096 in
+  (buf, Trace.jsonl ~write:(fun l -> Buffer.add_string buf l; Buffer.add_char buf '\n'))
+
+let trace_of_run () =
+  let buf, tracer = jsonl_buffer () in
+  run_dumbbell { Obs.Runtime.off with trace = Sink tracer };
   Buffer.contents buf
 
 let test_jsonl_determinism () =
@@ -201,6 +208,20 @@ let all_events =
       { flow; from_state = "handshake"; to_state = "cwnd_limited"; spent = 4500 };
     Trace.Attrib_transition
       { flow; from_state = "in_flight"; to_state = "complete"; spent = 250000 };
+    Trace.Int_hop
+      {
+        flow;
+        pkt = 9;
+        depth = 2;
+        hop = "tor0";
+        port = 3;
+        ingress = 1_000_000;
+        egress = 1_004_200;
+        qbytes = 3000;
+        svc_bps = 9_870_000_000;
+      };
+    Trace.Int_strip { node = "host6"; flow; pkt = 9; hops = 3; exceeded = true };
+    Trace.Int_strip { node = "host6"; flow; pkt = 10; hops = 0; exceeded = false };
   ]
 
 let test_event_json_roundtrip () =
@@ -532,6 +553,157 @@ let test_run_resets_accumulators () =
       (List.assoc "metrics" fields <> Json.Null)
   | _ -> Alcotest.fail "report is not an object"
 
+(* ------------------------------------------------------------------ *)
+(* The binary ring: per-kind emitters, decoding, the JSONL oracle      *)
+
+let rendered tracer =
+  List.map (fun (now, ev) -> Json.to_string (Trace.event_to_json ~now ev)) (Trace.events tracer)
+
+let lines_of buf = List.filter (( <> ) "") (String.split_on_char '\n' (Buffer.contents buf))
+
+(* The generic [emit] path: every constructor decodes to itself. *)
+let test_ring_decodes_every_constructor () =
+  let ring = Trace.ring ~capacity:(List.length all_events) () in
+  let stamped = List.mapi (fun i ev -> (Time_ns.us (i + 1), ev)) all_events in
+  List.iter (fun (now, ev) -> Trace.emit ring ~now ev) stamped;
+  Alcotest.(check bool) "events = what was emitted" true (Trace.events ring = stamped)
+
+(* A per-packet emitter writing a lone ring allocates nothing: once the
+   flow is interned (first sight), each emit stores ints into the
+   preallocated buffer.  (The α update passes constant floats here; the
+   AC/DC sender boxes its two at the call, once per RTT.) *)
+let test_emitters_allocate_nothing () =
+  let ring = Trace.ring ~capacity:4096 () in
+  let node = Trace.intern "tor0" and host = Trace.host_node 6 in
+  let from_state = Trace.intern "in_flight" and to_state = Trace.intern "cwnd_limited" in
+  let pkt = Dcpkt.Packet.make ~key:flow ~payload:1000 () in
+  let kind = Trace.pkt_kind pkt in
+  let hop_id = Dcpkt.Int_meta.register ~name:"alloc-test-sw" in
+  let emitters =
+    [
+      ("created", fun i -> Trace.created ring ~now:i ~node:host ~kind pkt);
+      ("enqueue", fun i -> Trace.enqueue ring ~now:i ~node ~port:2 ~pkt:i ~size:1500 ~qbytes:i);
+      ("dequeue", fun i -> Trace.dequeue ring ~now:i ~node ~port:2 ~pkt:i ~size:1500 ~qbytes:i);
+      ( "drop",
+        fun i -> Trace.drop ring ~now:i ~node ~port:2 ~pkt:i ~size:1500 ~reason:Trace.Buffer_full );
+      ("ce_mark", fun i -> Trace.ce_mark ring ~now:i ~node ~port:2 ~pkt:i ~qbytes:i);
+      ("impaired", fun i -> Trace.impaired ring ~now:i ~link:node ~pkt:i ~action:Trace.Imp_lost);
+      ("vswitch_drop", fun i -> Trace.vswitch_drop ring ~now:i ~node ~pkt:i ~egress:true);
+      ("delivered", fun i -> Trace.delivered ring ~now:i ~node:host ~pkt:i);
+      ("pack_attach", fun i -> Trace.pack_attach ring ~now:i ~flow ~pkt:i ~total:i ~marked:i);
+      ("rwnd_rewrite", fun i -> Trace.rwnd_rewrite ring ~now:i ~flow ~pkt:i ~window:i ~field:9);
+      ("policer_drop", fun i -> Trace.policer_drop ring ~now:i ~flow ~pkt:i ~seq:i ~window:9);
+      ("dupack", fun i -> Trace.dupack ring ~now:i ~flow ~ack:i ~count:3);
+      ("rto_fire", fun i -> Trace.rto_fire ring ~now:i ~flow ~inferred:true ~count:i);
+      ("alpha_update", fun i -> Trace.alpha_update ring ~now:i ~flow ~alpha:0.5 ~fraction:0.25);
+      ( "int_hop",
+        fun i ->
+          Trace.int_hop ring ~now:i ~flow ~pkt:i ~depth:1 ~hop:(Trace.hop_name hop_id) ~port:2
+            ~ingress:i ~egress:(i + 100) ~qbytes:i ~svc_bps:10_000_000_000 );
+      ( "int_strip",
+        fun i -> Trace.int_strip ring ~now:i ~node:host ~flow ~pkt:i ~hops:2 ~exceeded:false );
+      ( "attrib_transition",
+        fun i -> Trace.attrib_transition ring ~now:i ~flow ~from_state ~to_state ~spent:i );
+    ]
+  in
+  List.iter
+    (fun (name, emit) ->
+      emit 0;
+      let n = 100_000 in
+      let words0 = Gc.minor_words () in
+      for i = 1 to n do
+        emit i
+      done;
+      let per_op = (Gc.minor_words () -. words0) /. float_of_int n in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.2f minor words per emit" name per_op)
+        true (per_op < 0.005))
+    emitters
+
+let test_ring_tail () =
+  let ring = Trace.ring ~capacity:4 () in
+  let node = Trace.intern "sw" in
+  let ids n =
+    List.map
+      (function _, Trace.Enqueue { pkt; _ } -> pkt | _ -> -1)
+      (Trace.tail ring ~n)
+  in
+  let emit_upto k =
+    for i = Trace.recorded ring + 1 to k do
+      Trace.enqueue ring ~now:i ~node ~port:0 ~pkt:i ~size:100 ~qbytes:0
+    done
+  in
+  Alcotest.(check (list int)) "empty ring" [] (ids 2);
+  emit_upto 3;
+  Alcotest.(check (list int)) "before wrap" [ 2; 3 ] (ids 2);
+  emit_upto 6;
+  Alcotest.(check (list int)) "across wrap, oldest first" [ 5; 6 ] (ids 2);
+  Alcotest.(check (list int)) "n beyond capacity" [ 3; 4; 5; 6 ] (ids 10);
+  Alcotest.(check (list int)) "n = 0" [] (ids 0);
+  Alcotest.(check (list int)) "events agrees" [ 3; 4; 5; 6 ] (pkt_ids ring)
+
+(* Hop names are interned when recorded, so a ring still names a hop
+   correctly after the INT registry reassigned its id. *)
+let test_ring_survives_int_meta_reset () =
+  let ring = Trace.ring ~capacity:8 () in
+  let stamp () =
+    Dcpkt.Int_meta.reset ();
+    let id = Dcpkt.Int_meta.register ~name:(Printf.sprintf "sw-%d" (Trace.recorded ring)) in
+    Trace.int_hop ring ~now:1 ~flow ~pkt:1 ~depth:0 ~hop:(Trace.hop_name id) ~port:0 ~ingress:1
+      ~egress:2 ~qbytes:0 ~svc_bps:0;
+    id
+  in
+  let first = stamp () in
+  let second = stamp () in
+  Dcpkt.Int_meta.reset ();
+  check_int "the id was reused" first second;
+  Alcotest.(check (list string))
+    "each event keeps the name it was recorded with" [ "sw-0"; "sw-1" ]
+    (List.map
+       (function _, Trace.Int_hop { hop; _ } -> hop | _ -> "?")
+       (Trace.events ring))
+
+(* The oracle: on a seeded dumbbell with INT and attribution on, a ring
+   large enough for the whole run renders, event for event, the bytes a
+   JSONL sink writes — alone (the emitters' direct path), teed with the
+   JSONL sink, and under a kind filter. *)
+let test_ring_matches_jsonl () =
+  let observed trace = { Obs.Runtime.off with trace = Sink trace; int = true; attrib = true } in
+  let buf, jsonl = jsonl_buffer () in
+  run_dumbbell (observed jsonl);
+  let reference = lines_of buf in
+  let n = List.length reference in
+  List.iter
+    (fun ev ->
+      let tag = Printf.sprintf "\"ev\":\"%s\"" ev in
+      let has line =
+        let k = String.length tag in
+        let rec go i = i + k <= String.length line && (String.sub line i k = tag || go (i + 1)) in
+        go 0
+      in
+      Alcotest.(check bool) (ev ^ " events present") true (List.exists has reference))
+    [ "int_hop"; "int_strip"; "attrib"; "alpha_update"; "created"; "dequeue" ];
+  let alone = Trace.ring ~capacity:n () in
+  run_dumbbell (observed alone);
+  check_int "ring alone saw every event" n (Trace.recorded alone);
+  Alcotest.(check (list string)) "ring alone renders the JSONL bytes" reference (rendered alone);
+  let teed = Trace.ring ~capacity:n () in
+  let buf', jsonl' = jsonl_buffer () in
+  run_dumbbell (observed (Trace.tee teed jsonl'));
+  Alcotest.(check (list string)) "teed JSONL unchanged" reference (lines_of buf');
+  Alcotest.(check (list string)) "teed ring renders the JSONL bytes" reference (rendered teed);
+  let hops = Trace.ring ~capacity:n () in
+  run_dumbbell (observed (Trace.kind_filter ~kinds:[ "int_hop" ] hops));
+  Alcotest.(check (list string))
+    "filtered ring keeps exactly the int_hop lines"
+    (List.filter
+       (fun line ->
+         match Result.bind (Json.of_string line) Trace.event_of_json with
+         | Ok (_, Trace.Int_hop _) -> true
+         | _ -> false)
+       reference)
+    (rendered hops)
+
 let () =
   Alcotest.run "obs"
     [
@@ -548,6 +720,14 @@ let () =
           Alcotest.test_case "ring partial fill" `Quick test_ring_partial_fill;
           Alcotest.test_case "null + tee" `Quick test_null_and_tee;
           Alcotest.test_case "jsonl determinism" `Quick test_jsonl_determinism;
+          Alcotest.test_case "ring decodes every constructor" `Quick
+            test_ring_decodes_every_constructor;
+          Alcotest.test_case "emitters allocate nothing into a ring" `Quick
+            test_emitters_allocate_nothing;
+          Alcotest.test_case "ring tail" `Quick test_ring_tail;
+          Alcotest.test_case "ring survives Int_meta.reset" `Quick
+            test_ring_survives_int_meta_reset;
+          Alcotest.test_case "ring matches jsonl" `Quick test_ring_matches_jsonl;
         ] );
       ( "events",
         [

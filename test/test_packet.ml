@@ -58,15 +58,9 @@ let prop_compare_consistent_with_equal =
 let hop_gen =
   QCheck.Gen.(
     map
-      (fun ((hop_id, port, ingress), (sojourn, qbytes, svc_units)) ->
-        {
-          Dcpkt.Int_meta.hop_id;
-          port;
-          ingress_ns = ingress;
-          egress_ns = ingress + sojourn;
-          qbytes;
-          svc_bps = svc_units * 10_000_000;
-        })
+      (fun ((hop_id, port, ingress), (sojourn, qbytes, svc_units)) pkt ->
+        Packet.add_int_hop pkt ~hop_id ~port ~ingress_ns:ingress ~egress_ns:(ingress + sojourn)
+          ~qbytes ~svc_bps:(svc_units * 10_000_000))
       (pair
          (triple (int_bound 300) (int_bound 300) (int_bound 1_000_000_000))
          (triple (int_bound 500_000_000) (int_bound 1_000_000) (int_bound 10_000))))
@@ -95,7 +89,7 @@ let wire_packet_gen =
         pkt.Packet.ece <- bit 16;
         pkt.Packet.cwr <- bit 32;
         pkt.Packet.vm_ect <- bit 64;
-        List.iter (Packet.add_int_hop pkt) hops;
+        List.iter (fun push -> push pkt) hops;
         if bit 128 then pkt.Packet.int_exceeded <- true;
         pkt)
       (pair
@@ -112,7 +106,7 @@ let prop_wire_roundtrip =
       | Error e -> QCheck.Test.fail_reportf "of_wire failed: %s" e
       | Ok pkt' ->
         String.equal (Packet.to_wire pkt') w
-        && List.length pkt'.Packet.int_stack = List.length pkt.Packet.int_stack
+        && Dcpkt.Int_meta.depth pkt'.Packet.int_stack = Dcpkt.Int_meta.depth pkt.Packet.int_stack
         && pkt'.Packet.int_exceeded = pkt.Packet.int_exceeded
         && pkt'.Packet.payload = pkt.Packet.payload)
 
@@ -171,23 +165,57 @@ let test_sack_accessor () =
 
 (* The serializing queue completes the open INT hop in place, so a wire
    duplicate must own its open hop: completing one frame's hop leaves the
-   other's open.  Completed hops are shared. *)
+   other's open. *)
 let test_copy_owns_open_hop () =
-  let hop ~hop_id =
-    { Dcpkt.Int_meta.hop_id; port = 0; ingress_ns = 10; egress_ns = 0; qbytes = 0; svc_bps = 0 }
+  let hop pkt ~hop_id =
+    Packet.add_int_hop pkt ~hop_id ~port:0 ~ingress_ns:10 ~egress_ns:0 ~qbytes:0 ~svc_bps:0
   in
   let pkt = Packet.make ~key ~payload:100 () in
-  Packet.add_int_hop pkt (hop ~hop_id:1);
+  hop pkt ~hop_id:1;
   Packet.complete_int_hop pkt ~egress_ns:20;
-  Packet.add_int_hop pkt (hop ~hop_id:2);
+  hop pkt ~hop_id:2;
   let dup = Packet.copy pkt in
   Packet.complete_int_hop dup ~egress_ns:50;
-  let egress p = Array.map (fun h -> h.Dcpkt.Int_meta.egress_ns) (Packet.int_hops p) in
+  let egress p =
+    let s = p.Packet.int_stack in
+    Array.init (Dcpkt.Int_meta.depth s) (Dcpkt.Int_meta.egress_ns s)
+  in
   Alcotest.(check (array int)) "original's hop still open" [| 20; 0 |] (egress pkt);
   Alcotest.(check (array int)) "duplicate's hop completed" [| 20; 50 |] (egress dup);
   Packet.complete_int_hop pkt ~egress_ns:70;
   Alcotest.(check (array int)) "and completes on its own" [| 20; 70 |] (egress pkt);
   Alcotest.(check (array int)) "without touching the duplicate" [| 20; 50 |] (egress dup)
+
+(* A stamped packet's life on a warmed free list — two switches stamp and
+   complete, the strip point reads the stack and releases it — allocates
+   nothing. *)
+let test_int_cycle_allocates_nothing () =
+  let pkt = Packet.make ~key ~payload:1000 () in
+  let read = ref 0 in
+  let cycle now =
+    for hop_id = 1 to 2 do
+      Packet.add_int_hop pkt ~hop_id ~port:3 ~ingress_ns:now ~egress_ns:0 ~qbytes:1500
+        ~svc_bps:10_000_000_000;
+      Packet.complete_int_hop pkt ~egress_ns:(now + 700)
+    done;
+    let s = pkt.Packet.int_stack in
+    for i = 0 to Dcpkt.Int_meta.depth s - 1 do
+      read := !read + Dcpkt.Int_meta.sojourn_ns s i + Dcpkt.Int_meta.hop_key s i
+    done;
+    Packet.release_int pkt
+  in
+  for now = 1 to 1000 do
+    cycle now
+  done;
+  let n = 100_000 in
+  let words0 = Gc.minor_words () in
+  for now = 1 to n do
+    cycle now
+  done;
+  let per_op = (Gc.minor_words () -. words0) /. float_of_int n in
+  check_bool (Printf.sprintf "%.2f minor words per cycle" per_op) true (per_op < 0.005);
+  check_bool "released" true (pkt.Packet.int_stack == Dcpkt.Int_meta.empty);
+  check_bool "stacks were read" true (!read > 0)
 
 let test_ids_unique () =
   Packet.reset_ids ();
@@ -231,6 +259,8 @@ let () =
           Alcotest.test_case "sack accessor" `Quick test_sack_accessor;
           Alcotest.test_case "unique ids" `Quick test_ids_unique;
           Alcotest.test_case "copy owns its open INT hop" `Quick test_copy_owns_open_hop;
+          Alcotest.test_case "INT stack cycle allocates nothing" `Quick
+            test_int_cycle_allocates_nothing;
         ] );
       ("properties", qtests);
     ]
